@@ -60,27 +60,15 @@ pub fn prf_rank_truncated(
     omega: &dyn WeightFunction,
     h: usize,
 ) -> Vec<Complex> {
-    prf_rank_truncated_prepared(db, omega, h, &db.ids_by_score_desc())
-}
-
-/// [`prf_rank_truncated`] against a pre-sorted descending score order (see
-/// [`batch_walk_independent_prepared`]).
-pub(crate) fn prf_rank_truncated_prepared(
-    db: &IndependentDb,
-    omega: &dyn WeightFunction,
-    h: usize,
-    order: &[prf_pdb::TupleId],
-) -> Vec<Complex> {
     let n = db.len();
     let mut result = vec![Complex::ZERO; n];
     if n == 0 || h == 0 {
         return result;
     }
-    debug_assert_eq!(order.len(), n, "prepared order must cover the relation");
     // G holds the first h coefficients of Π (1 − p + p·x) over tuples seen
     // so far.
     let mut g = Poly::one();
-    for &tid in order {
+    for tid in db.ids_by_score_desc() {
         let t = db.tuple(tid);
         // Υ(t) = p(t)·Σ_{j=1..h} ω(t, j)·G[j−1].
         let mut upsilon = Complex::ZERO;
@@ -217,16 +205,18 @@ pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec
     unreachable!("target tuple not in database");
 }
 
-/// Serves a whole batched-walk request set from **one** pass over the
+/// Serves a whole shared-walk request set from **one** pass over the
 /// score-sorted tuples — the independent-relation counterpart of
-/// `crate::tree::batch_walk_tree`. One shared sort, one prefix polynomial
-/// `G(x)` truncated at the *largest* weight horizon (every PRFω/PT
-/// consumer reads its own prefix of the coefficients — a truncation view),
-/// and one `O(1)`-per-step numeric accumulator per PRFe consumer in its
-/// requested mode. Expected ranks use the closed form (it shares nothing
-/// beyond the relation, but is `O(n log n)` and exact).
+/// `crate::tree::batch_walk_tree`. One shared sort (`order`, the relation's
+/// full descending score order, cached by a prepared state or sorted by
+/// the caller), one prefix polynomial `G(x)` truncated at the *largest*
+/// weight horizon (every PRFω/PT consumer reads its own prefix of the
+/// coefficients — a truncation view), and one `O(1)`-per-step numeric
+/// accumulator per PRFe consumer in its requested mode. Expected ranks use
+/// the closed form (it shares nothing beyond the relation, but is
+/// `O(n log n)` and exact).
 ///
-/// Per-consumer answers are bit-identical to the corresponding single
+/// Per-consumer answers are bit-identical to the corresponding free
 /// kernels ([`prf_rank`], [`prfe_rank`], [`prfe_rank_log`],
 /// [`prfe_rank_scaled`], `expected_ranks_independent`): the loop bodies
 /// are the same operations in the same order.
@@ -234,18 +224,6 @@ pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec
 /// Returns `None` when the spec's cancellation token trips mid-walk (every
 /// consumer gave up — see `SharedWalkSpec::cancel`).
 pub(crate) fn batch_walk_independent(
-    db: &IndependentDb,
-    spec: &SharedWalkSpec,
-) -> Option<SharedWalkOut> {
-    batch_walk_independent_prepared(db, spec, &db.ids_by_score_desc())
-}
-
-/// [`batch_walk_independent`] against a pre-sorted score order: the
-/// `O(n log n)` sort (which [`IndependentDb::ids_by_score_desc`] redoes on
-/// every call) comes from the caller — a `PreparedRelation` amortizing it
-/// across flushes. `order` must be the relation's full descending score
-/// order.
-pub(crate) fn batch_walk_independent_prepared(
     db: &IndependentDb,
     spec: &SharedWalkSpec,
     order: &[prf_pdb::TupleId],
@@ -303,7 +281,7 @@ pub(crate) fn batch_walk_independent_prepared(
     // One shared definition of the per-request buffer defaults (zero Υ,
     // `-∞` log keys) with the tree walk; expected ranks use the closed
     // form, filled in before the walk.
-    let mut answers = crate::tree::BatchConsumers::answer_buffers(spec, n);
+    let mut answers = spec.answer_buffers(n);
     for (req, answer) in spec.requests.iter().zip(&mut answers) {
         if matches!(req, SharedRequest::ExpectedRanks) {
             *answer = SharedAnswer::Ranks(crate::query::kernels::expected_ranks_independent(db));

@@ -41,6 +41,8 @@
 //!
 //! * [`query`] — the unified `RankQuery` engine: one entry point for every
 //!   semantics, backend, and numeric mode;
+//! * [`parallel`] — the sharded (scoped-thread) form of the tree walk and
+//!   the gate deciding when sharding pays;
 //! * [`weights`] — the `ω` families and the [`weights::WeightFunction`]
 //!   trait;
 //! * [`independent`] — Algorithm 1 (IND-PRF-RANK) and the PRFe/PRFω fast
@@ -82,6 +84,17 @@ pub mod weights;
 pub mod xtuple;
 
 pub use attribute::{prf_rank_uncertain, prfe_rank_uncertain};
+
+/// Locks `m`, recovering the guard when a panicking holder poisoned it —
+/// the one sanctioned raw `Mutex::lock` in this crate (`clippy.toml` bans
+/// the rest). Every mutex here guards state that stays consistent across
+/// a panic (a job queue, a channel handle, a generation tracker whose
+/// slots each change in one assignment), so one panicking holder must not
+/// disable the structure for good.
+pub(crate) fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    #[allow(clippy::disallowed_methods)] // the sanctioned raw `lock`
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 pub use incremental::{EvalPlan, GfStats, IncrementalGf};
 pub use independent::{
     prf_rank, prf_rank_full, prf_rank_truncated, prfe_rank, prfe_rank_log, prfe_rank_scaled,
@@ -89,10 +102,7 @@ pub use independent::{
 };
 pub use live::{LiveApply, LiveRelation, MutableRelation, Mutation, MutationEffect};
 pub use mixture::{approximate_weights, DftApproxConfig, ExpMixture};
-pub use parallel::{
-    effective_walk_threads, prf_rank_tree_parallel, prf_rank_tree_parallel_stats,
-    PARALLEL_MIN_SHARD_TUPLES,
-};
+pub use parallel::{effective_walk_threads, PARALLEL_MIN_SHARD_TUPLES};
 pub use prf_pdb::TupleId;
 pub use query::{
     Algorithm, BatchCost, BatchPlan, BatchRoute, CancelToken, CorrelationClass, EvalReport,
@@ -103,9 +113,8 @@ pub use shard::{ShardError, ShardHandle, ShardPool, ShardedRelation};
 pub use spectrum::{crossing_point, prfe_spectrum, spectrum_endpoints, Crossing};
 pub use topk::{Ranking, ValueOrder};
 pub use tree::{
-    expected_ranks_tree, prf_rank_tree, prf_rank_tree_interp, prf_rank_tree_refold,
-    prf_rank_tree_stats, prfe_rank_tree, prfe_rank_tree_recompute, prfe_rank_tree_scaled,
-    prfe_rank_tree_scaled_stats, prfe_rank_tree_stats, rank_distributions_tree,
+    expected_ranks_tree, prf_rank_tree, prf_rank_tree_interp, prf_rank_tree_refold, prfe_rank_tree,
+    prfe_rank_tree_recompute, prfe_rank_tree_scaled, rank_distributions_tree,
 };
 pub use weights::{
     ConstantWeight, DcgWeight, ExponentialWeight, LinearWeight, PositionWeight, ScoreWeight,

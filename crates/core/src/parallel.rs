@@ -1,4 +1,4 @@
-//! Thread-parallel variants of the tree ranking algorithms.
+//! The thread-parallel (sharded) form of the tree shared walk.
 //!
 //! The score-order walk of the incremental engine looks inherently serial —
 //! every step depends on the previous labelling — but the fold state at any
@@ -11,13 +11,11 @@
 
 use std::time::Instant;
 
-use prf_numeric::{Complex, RankPoly};
-use prf_pdb::{AndXorTree, TupleId};
+use prf_pdb::AndXorTree;
 
 use crate::incremental::GfStats;
 use crate::query::batch::{SharedAnswer, SharedWalkOut, SharedWalkSpec};
 use crate::tree::{BatchConsumers, BatchWalkers, TreePrepared};
-use crate::weights::WeightFunction;
 
 /// Minimum tuples **per shard** for the sharded batch walk to beat the
 /// serial incremental walk.
@@ -50,152 +48,18 @@ pub fn effective_walk_threads(n: usize, requested: Option<usize>) -> usize {
     }
 }
 
-/// Parallel ANDXOR-PRF-RANK: identical output to
-/// [`crate::tree::prf_rank_tree`], computed with `threads` workers over
-/// shard-local incremental evaluators.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn prf_rank_tree_parallel(
-    tree: &AndXorTree,
-    omega: &(dyn WeightFunction + Sync),
-    threads: usize,
-) -> Vec<Complex> {
-    prf_rank_tree_parallel_stats(tree, omega, threads).0
-}
-
-/// [`prf_rank_tree_parallel`] plus the merged memory accounting of the
-/// shard evaluators (they are live concurrently, so peaks sum).
-pub fn prf_rank_tree_parallel_stats(
-    tree: &AndXorTree,
-    omega: &(dyn WeightFunction + Sync),
-    threads: usize,
-) -> (Vec<Complex>, GfStats) {
-    if tree.n_tuples() == 0 {
-        return (Vec::new(), GfStats::default());
-    }
-    prf_rank_tree_parallel_stats_prepared(tree, omega, threads, &TreePrepared::new(tree))
-}
-
-/// [`prf_rank_tree_parallel_stats`] against a pre-built [`TreePrepared`]
-/// (see [`batch_walk_tree_parallel_prepared`]).
-///
-/// # Panics
-/// Panics if `threads == 0` or the tree is empty (callers gate on `n > 0`).
-pub(crate) fn prf_rank_tree_parallel_stats_prepared(
-    tree: &AndXorTree,
-    omega: &(dyn WeightFunction + Sync),
-    threads: usize,
-    prep: &TreePrepared,
-) -> (Vec<Complex>, GfStats) {
-    assert!(threads > 0, "need at least one thread");
-    let n = tree.n_tuples();
-    let cap = omega.truncation().unwrap_or(n).min(n);
-    if cap == 0 {
-        return (vec![Complex::ZERO; n], GfStats::default());
-    }
-    let order = &prep.order;
-    let pos = &prep.pos;
-    let marginals = &prep.marginals;
-    let plan = &prep.plan;
-
-    let threads = threads.min(n);
-    let chunk = n.div_ceil(threads);
-    // Shared fold prefix: ONE trivial all-ones fold, then each shard's
-    // start state is the previous one advanced by a single chunk of `x`
-    // labels (bulk bottom-up sweep) and cloned. Total setup ring work is
-    // one fold plus one sweep over the walked prefix — previously every
-    // worker re-folded the whole plan from scratch, `threads ×` the work.
-    let mut snapshots = Vec::with_capacity(threads);
-    {
-        let mut base = plan.evaluator(|_| RankPoly::one().with_cap(cap));
-        let mut prev_lo = 0usize;
-        for w in 0..threads {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(n);
-            if lo >= hi {
-                continue; // rounding can leave trailing shards empty
-            }
-            if lo > prev_lo {
-                base.set_leaves_bulk(|u| {
-                    let p = pos[u.index()];
-                    (prev_lo <= p && p < lo).then(|| RankPoly::x().with_cap(cap))
-                });
-                prev_lo = lo;
-            }
-            snapshots.push((lo, hi, base.clone()));
-        }
-    }
-    let mut results: Vec<(Vec<(TupleId, Complex)>, GfStats)> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(snapshots.len());
-        for (lo, hi, mut inc) in snapshots {
-            let order = &order;
-            let marginals = &marginals;
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::with_capacity(hi - lo);
-                for (i, &t) in order.iter().enumerate().take(hi).skip(lo) {
-                    if i > lo {
-                        inc.set_leaf(order[i - 1], RankPoly::x().with_cap(cap));
-                    }
-                    inc.set_leaf(t, RankPoly::y().with_cap(cap));
-                    let tv = crate::tree::tuple_view(tree, marginals, t);
-                    out.push((t, crate::tree::upsilon_from_gf(inc.root(), &tv, omega, cap)));
-                }
-                let stats = inc.stats();
-                (out, stats)
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
-        }
-    });
-
-    let mut out = vec![Complex::ZERO; n];
-    let mut stats = GfStats::default();
-    for (shard, shard_stats) in results {
-        for (t, v) in shard {
-            out[t.index()] = v;
-        }
-        stats = stats.merge(shard_stats);
-    }
-    (out, stats)
-}
-
 /// The sharded form of [`crate::tree::batch_walk_tree`]: every worker
 /// fast-forwards the full consumer set (the shared polynomial evaluator
 /// plus one scalar evaluator per PRFe/E-Rank request) into its shard-start
-/// labelling over **one** compiled [`EvalPlan`](crate::incremental::EvalPlan),
-/// walks only its shard, and
-/// the shards' answers are merged. The expected-ranks absent-worlds pass
-/// runs serially afterwards (it is `O(n)` scalar work).
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub(crate) fn batch_walk_tree_parallel(
-    tree: &AndXorTree,
-    spec: &SharedWalkSpec,
-    threads: usize,
-) -> Option<SharedWalkOut> {
-    if tree.n_tuples() == 0 {
-        let start = Instant::now();
-        return Some(SharedWalkOut {
-            answers: BatchConsumers::answer_buffers(spec, 0),
-            stats: None,
-            walk_seconds: start.elapsed().as_secs_f64(),
-        });
-    }
-    batch_walk_tree_parallel_prepared(tree, spec, threads, &TreePrepared::new(tree))
-}
-
-/// [`batch_walk_tree_parallel`] against a pre-built [`TreePrepared`]: the
-/// score sort, position index, marginals, and compiled plan come from the
-/// caller (a `PreparedRelation` amortizing them across flushes) instead of
-/// being rebuilt per walk.
+/// labelling over **one** prepared skeleton (score order, marginals,
+/// compiled [`EvalPlan`](crate::incremental::EvalPlan)), walks only its
+/// shard on a scoped thread, and the shards' answers are merged. The
+/// expected-ranks absent-worlds pass runs serially afterwards (it is `O(n)`
+/// scalar work). Callers gate `threads` with [`effective_walk_threads`].
 ///
 /// # Panics
 /// Panics if `threads == 0` or the tree is empty (callers gate on `n > 0`).
-pub(crate) fn batch_walk_tree_parallel_prepared(
+pub(crate) fn batch_walk_tree_parallel(
     tree: &AndXorTree,
     spec: &SharedWalkSpec,
     threads: usize,
@@ -205,7 +69,7 @@ pub(crate) fn batch_walk_tree_parallel_prepared(
     let start = Instant::now();
     let n = tree.n_tuples();
     let consumers = BatchConsumers::parse(spec, n);
-    let mut answers = BatchConsumers::answer_buffers(spec, n);
+    let mut answers = spec.answer_buffers(n);
     let order = &prep.order;
     let pos = &prep.pos;
     let marginals = &prep.marginals;
@@ -213,10 +77,10 @@ pub(crate) fn batch_walk_tree_parallel_prepared(
 
     let threads = threads.min(n);
     let chunk = n.div_ceil(threads);
-    // Shared fold prefix across shards (see the single-query variant
-    // above): one all-ones fast-forward, bulk-advanced one chunk per
-    // boundary, with a snapshot cloned for each worker — instead of every
-    // worker re-folding the full consumer set from scratch.
+    // Shared fold prefix: ONE all-ones fast-forward, then each shard's
+    // start state is the previous one advanced by a single chunk of `x`/`α`
+    // labels (bulk bottom-up sweep) and cloned — instead of every worker
+    // re-folding the full consumer set from scratch.
     let mut snapshots = Vec::with_capacity(threads);
     {
         let mut base = BatchWalkers::fast_forward(plan, &consumers, |_| false);
@@ -242,14 +106,11 @@ pub(crate) fn batch_walk_tree_parallel_prepared(
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(snapshots.len());
         for (lo, hi, mut walkers) in snapshots {
-            let order = &order;
-            let marginals = &marginals;
             let consumers = &consumers;
-            let spec = &spec;
             handles.push(scope.spawn(move || {
-                // Shard-sized buffers (position `i − lo`), like the
-                // single-query parallel walk — not full-length per worker.
-                let mut local = BatchConsumers::answer_buffers(spec, hi - lo);
+                // Shard-sized buffers (position `i − lo`), not full-length
+                // per worker.
+                let mut local = spec.answer_buffers(hi - lo);
                 for (i, &t) in order.iter().enumerate().take(hi).skip(lo) {
                     // Cooperative cancellation: every shard polls, and any
                     // tripped poll abandons the whole walk after the join.
@@ -273,7 +134,7 @@ pub(crate) fn batch_walk_tree_parallel_prepared(
         let (lo, hi, local, shard_stats) = shard?; // any cancelled shard abandons the walk
         for (j, &t) in order[lo..hi].iter().enumerate() {
             for (dst, src) in answers.iter_mut().zip(&local) {
-                copy_answer_at(dst, src, t.index(), j);
+                dst.copy_at(t.index(), src, j);
             }
         }
         stats = stats.merge(shard_stats);
@@ -286,24 +147,60 @@ pub(crate) fn batch_walk_tree_parallel_prepared(
     })
 }
 
-/// Copies one tuple's value from a shard-local answer buffer (indexed by
-/// shard position) into the merged buffer (indexed by tuple id).
-fn copy_answer_at(dst: &mut SharedAnswer, src: &SharedAnswer, dst_idx: usize, src_idx: usize) {
-    match (dst, src) {
-        (SharedAnswer::Complex(d), SharedAnswer::Complex(s)) => d[dst_idx] = s[src_idx],
-        (SharedAnswer::Log(d), SharedAnswer::Log(s)) => d[dst_idx] = s[src_idx],
-        (SharedAnswer::Scaled(d), SharedAnswer::Scaled(s)) => d[dst_idx] = s[src_idx],
-        (SharedAnswer::Ranks(d), SharedAnswer::Ranks(s)) => d[dst_idx] = s[src_idx],
-        _ => unreachable!("shard buffers share the merged buffers' shapes"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::tree::prf_rank_tree;
-    use crate::weights::StepWeight;
-    use prf_pdb::AndXorTree;
+    use crate::query::batch::SharedRequest;
+    use crate::query::{CorrelationClass, ProbabilisticRelation};
+    use crate::tree::{batch_walk_tree, prf_rank_tree};
+    use crate::weights::{StepWeight, TabulatedWeight};
+    use prf_numeric::Complex;
+
+    /// PT, tabulated PRFω, PRFe in plain and scaled arithmetic, E-Rank.
+    fn mixed_spec() -> SharedWalkSpec {
+        SharedWalkSpec::serial(vec![
+            SharedRequest::Weight(Arc::new(StepWeight { h: 5 })),
+            SharedRequest::Weight(Arc::new(TabulatedWeight::from_real(&[3.0, 2.0, 1.0, 0.5]))),
+            SharedRequest::PrfeComplex(Complex::new(0.8, 0.2)),
+            SharedRequest::PrfeScaled(Complex::real(0.6)),
+            SharedRequest::ExpectedRanks,
+        ])
+    }
+
+    /// Runs `spec` through the sharded walk at every thread count and
+    /// checks each answer against the serial walk at relative `tol`.
+    fn assert_sharded_matches_serial(
+        tree: &AndXorTree,
+        spec: &SharedWalkSpec,
+        threads: &[usize],
+        tol: f64,
+        ctx: &str,
+    ) {
+        let close = |a: Complex, b: Complex| (a - b).abs() <= tol * b.abs().max(1.0);
+        let prep = TreePrepared::new(tree);
+        let serial = batch_walk_tree(tree, spec, &prep).unwrap().answers;
+        for &t in threads {
+            let sharded = batch_walk_tree_parallel(tree, spec, t, &prep).unwrap();
+            for (r, (g, w)) in sharded.answers.iter().zip(&serial).enumerate() {
+                let ok = match (g, w) {
+                    (SharedAnswer::Complex(g), SharedAnswer::Complex(w)) => {
+                        g.iter().zip(w).all(|(a, b)| close(*a, *b))
+                    }
+                    (SharedAnswer::Scaled(g), SharedAnswer::Scaled(w)) => g
+                        .iter()
+                        .zip(w)
+                        .all(|(a, b)| close(a.to_plain(), b.to_plain())),
+                    (SharedAnswer::Ranks(g), SharedAnswer::Ranks(w)) => {
+                        g.iter().zip(w).all(|(a, b)| (a - b).abs() <= tol)
+                    }
+                    _ => false,
+                };
+                assert!(ok, "{ctx} threads {t} request {r}: {g:?} vs {w:?}");
+            }
+        }
+    }
 
     #[test]
     fn parallel_matches_serial() {
@@ -315,23 +212,44 @@ mod tests {
         ])
         .unwrap();
         let w = StepWeight { h: 4 };
-        let serial = prf_rank_tree(&tree, &w);
-        for threads in [1usize, 2, 4, 16] {
-            let par = prf_rank_tree_parallel(&tree, &w, threads);
-            for t in 0..tree.n_tuples() {
-                assert!(
-                    par[t].approx_eq(serial[t], 1e-12),
-                    "threads={threads} t={t}"
-                );
-            }
+        let spec = SharedWalkSpec::serial(vec![SharedRequest::Weight(Arc::new(w))]);
+        let walked = batch_walk_tree(&tree, &spec, &TreePrepared::new(&tree)).unwrap();
+        let SharedAnswer::Complex(serial) = &walked.answers[0] else {
+            panic!("weight request answers complex values")
+        };
+        let direct = prf_rank_tree(&tree, &w);
+        for t in 0..tree.n_tuples() {
+            assert!(serial[t].approx_eq(direct[t], 1e-12), "serial walk t={t}");
+        }
+        assert_sharded_matches_serial(&tree, &spec, &[1, 2, 4, 16], 1e-12, "x-tuple");
+    }
+
+    /// The sharded walk itself — called directly, so the `n/threads` gate
+    /// cannot route these small trees serial — must match the serial walk
+    /// on general (non-x-tuple) trees for every consumer kind.
+    #[test]
+    fn sharded_walk_matches_serial_on_general_trees() {
+        let spec = mixed_spec();
+        for seed in 0..4u64 {
+            let tree = prf_datasets::synthetic::syn_med_tree(90 + 17 * seed as usize, seed);
+            assert_eq!(
+                ProbabilisticRelation::correlation_class(&tree),
+                CorrelationClass::Tree
+            );
+            let ctx = format!("seed {seed}");
+            assert_sharded_matches_serial(&tree, &spec, &[2, 3, 8], 1e-9, &ctx);
         }
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
         let tree = AndXorTree::from_x_tuples(&[vec![(1.0, 0.5)]]).unwrap();
-        let w = StepWeight { h: 1 };
-        let par = prf_rank_tree_parallel(&tree, &w, 8);
+        let spec =
+            SharedWalkSpec::serial(vec![SharedRequest::Weight(Arc::new(StepWeight { h: 1 }))]);
+        let out = batch_walk_tree_parallel(&tree, &spec, 8, &TreePrepared::new(&tree)).unwrap();
+        let SharedAnswer::Complex(par) = &out.answers[0] else {
+            panic!("weight request answers complex values")
+        };
         assert_eq!(par.len(), 1);
         assert!((par[0].re - 0.5).abs() < 1e-12);
     }
@@ -372,9 +290,17 @@ mod tests {
             vec![(7.0, 0.5), (6.0, 0.2)],
         ])
         .unwrap();
-        let w = StepWeight { h: 3 };
-        let (_, s1) = prf_rank_tree_parallel_stats(&tree, &w, 1);
-        let (_, s2) = prf_rank_tree_parallel_stats(&tree, &w, 2);
+        let spec =
+            SharedWalkSpec::serial(vec![SharedRequest::Weight(Arc::new(StepWeight { h: 3 }))]);
+        let prep = TreePrepared::new(&tree);
+        let s1 = batch_walk_tree_parallel(&tree, &spec, 1, &prep)
+            .unwrap()
+            .stats
+            .unwrap();
+        let s2 = batch_walk_tree_parallel(&tree, &spec, 2, &prep)
+            .unwrap()
+            .stats
+            .unwrap();
         assert!(s1.plan_nodes > 0);
         // Two concurrent shards hold two evaluators.
         assert_eq!(s2.plan_nodes, 2 * s1.plan_nodes);

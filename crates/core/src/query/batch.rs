@@ -1,17 +1,19 @@
-//! Batched multi-query execution over **one shared score-order walk**.
+//! Query execution over **one shared score-order walk** — for a batch of
+//! many queries and for a single query alike.
 //!
 //! The paper's parameterized ranking function means every semantics —
 //! PRFω(h)/PT(h), PRFe(α) at any α, expected ranks — is read off the *same*
 //! generating function, walked over the *same* score order. A
 //! [`QueryBatch`] exploits that: it compiles N queries against one
-//! [`ProbabilisticRelation`] into a [`BatchPlan`] that shares the score
-//! sort, the compiled [`crate::incremental::EvalPlan`], and the incremental
-//! evaluator state, then extracts every answer from **one leaf-relabeling
-//! pass**. PRFe variants become extra evaluation points of the shared
-//! generating function (one scalar evaluator per α over the shared plan);
-//! PT(h)/PRFω(h) variants become truncation views of one shared
-//! truncated-polynomial evaluator (capped at the largest requested
-//! horizon); expected ranks ride along as a dual-number evaluation point.
+//! [`ProbabilisticRelation`] into a [`BatchPlan`] and hands every
+//! walk-routed entry to the backend's single walk entry,
+//! [`ProbabilisticRelation::run_shared_walk`], as one
+//! [`SharedRequest`]. PRFe variants become extra evaluation points of the
+//! shared generating function; PT(h)/PRFω(h) variants become truncation
+//! views of one shared truncated-polynomial evaluator; expected ranks ride
+//! along as a dual-number evaluation point. [`RankQuery::run`] is the
+//! one-entry case of the same machinery, so a single query and a batch
+//! entry take the identical route to a kernel.
 //!
 //! ```
 //! use prf_core::query::{QueryBatch, RankQuery, Semantics};
@@ -30,38 +32,44 @@
 //!     RankQuery::pt(2).run(&db)?.ranking.order()
 //! );
 //! // …and its report records the shared-walk cost attribution.
-//! assert!(results[0].report.batch.is_some());
+//! assert_eq!(results[0].report.batch.unwrap().consumers, 3);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Semantics with no shared-walk form (U-Top's set sweep, U-Rank's
-//! candidate tables, the DFT mixture pipeline, E-Score's closed form) still
-//! run through the batch API but are evaluated as individual queries
-//! ([`BatchRoute::Single`]); their reports carry `batch: None`. Backends
-//! without a shared-walk kernel (the graphical adapter) fall back the same
-//! way, so a batch is *always* answer-equivalent to the sequence of single
-//! queries — enforced to 1e-9 by `tests/batch_equivalence.rs`.
+//! Four semantics have no shared-walk form and keep a per-query evaluator
+//! ([`BatchRoute::Single`]): U-Top's set sweep, U-Rank's candidate table,
+//! E-Score's closed form and the DFT mixture (which runs one single-request
+//! scaled PRFe walk per mixture term, accumulating as it goes). Their
+//! reports carry `batch: None`. When a backend declines a walk (`None`,
+//! e.g. E-Rank on the graphical adapter), every entry of it is retried as
+//! a one-entry walk, so the entries the backend can serve still succeed
+//! and the rest fail with [`QueryError::Unsupported`] — a batch is
+//! *always* answer-equivalent to the sequence of single queries, enforced
+//! to 1e-9 by `tests/batch_equivalence.rs`.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use prf_numeric::{Complex, Scaled};
+use prf_numeric::{Complex, GfValue, Scaled};
+use prf_pdb::TupleId;
 
 use super::relation::{CorrelationClass, ProbabilisticRelation};
 use super::{
-    panic_reason, Algorithm, CancelToken, EvalReport, QueryError, RankQuery, RankedResult,
-    Semantics, Values,
+    panic_reason, timed, Algorithm, CancelToken, EvalReport, PreparedState, QueryError, RankQuery,
+    RankedResult, Semantics, TopSet, Values,
 };
 use crate::incremental::GfStats;
+use crate::mixture::approximate_weights;
 use crate::topk::{Ranking, ValueOrder};
-use crate::weights::WeightFunction;
+use crate::weights::{tabulate, WeightFunction};
 
 // ---------------------------------------------------------------------
 // The shared-walk backend interface
 // ---------------------------------------------------------------------
 
 /// One consumer of a shared score-order walk — the backend-facing form of a
-/// batched query, produced by [`QueryBatch`] compilation and consumed by
+/// walk-routed query, produced by [`QueryBatch`] compilation and consumed by
 /// [`ProbabilisticRelation::run_shared_walk`].
 #[derive(Clone)]
 pub enum SharedRequest {
@@ -83,12 +91,26 @@ pub enum SharedRequest {
 impl SharedRequest {
     /// The shared-polynomial extraction cap of a weight request on an
     /// `n`-tuple relation (`None` for non-weight requests) — the single
-    /// definition both the tree and independent batch walks parse with,
-    /// matching the single kernels' `truncation().unwrap_or(n).min(n)`.
+    /// definition every walk parses with: `truncation().unwrap_or(n).min(n)`.
     pub(crate) fn weight_cap(&self, n: usize) -> Option<usize> {
         match self {
             SharedRequest::Weight(w) => Some(w.truncation().unwrap_or(n).min(n)),
             _ => None,
+        }
+    }
+
+    /// An all-default answer buffer of this request's shape for `n` tuples:
+    /// zero Υ values, `-∞` log keys, zero ranks.
+    pub(crate) fn empty_answer(&self, n: usize) -> SharedAnswer {
+        match self {
+            SharedRequest::Weight(_) | SharedRequest::PrfeComplex(_) => {
+                SharedAnswer::Complex(vec![Complex::ZERO; n])
+            }
+            SharedRequest::PrfeLog(_) => SharedAnswer::Log(vec![f64::NEG_INFINITY; n]),
+            SharedRequest::PrfeScaled(_) => {
+                SharedAnswer::Scaled(vec![Scaled::<Complex>::zero(); n])
+            }
+            SharedRequest::ExpectedRanks => SharedAnswer::Ranks(vec![0.0; n]),
         }
     }
 }
@@ -105,7 +127,7 @@ impl std::fmt::Debug for SharedRequest {
     }
 }
 
-/// Everything a backend needs to serve a batch from one walk.
+/// Everything a backend needs to serve a set of requests from one walk.
 #[derive(Clone, Debug)]
 pub struct SharedWalkSpec {
     /// The consumers, in batch-entry order.
@@ -115,17 +137,31 @@ pub struct SharedWalkSpec {
     /// Cooperative cancellation, polled between score steps. For a batch
     /// this is the **all-of** composite of the consumers' tokens (the walk
     /// serves everyone, so it only aborts once *every* consumer has given
-    /// up); a tripped token makes the kernel return `None`, demoting the
-    /// entries to individual evaluation where each reports its own
-    /// [`QueryError::TimedOut`].
+    /// up); a tripped token makes the kernel return `None`, and each entry
+    /// then reports its own [`QueryError::TimedOut`].
     pub cancel: Option<CancelToken>,
 }
 
 impl SharedWalkSpec {
+    /// A spec for `requests` with no thread request and no cancellation.
+    pub(crate) fn serial(requests: Vec<SharedRequest>) -> Self {
+        SharedWalkSpec {
+            requests,
+            threads: None,
+            cancel: None,
+        }
+    }
+
     /// `true` once the walk's composite cancellation token has tripped —
     /// the kernels' periodic poll.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+    }
+
+    /// Pre-sized all-default answer buffers, one per request (see
+    /// [`SharedRequest::empty_answer`]).
+    pub(crate) fn answer_buffers(&self, n: usize) -> Vec<SharedAnswer> {
+        self.requests.iter().map(|r| r.empty_answer(n)).collect()
     }
 }
 
@@ -143,6 +179,20 @@ pub enum SharedAnswer {
     Ranks(Vec<f64>),
 }
 
+impl SharedAnswer {
+    /// Copies `src[src_idx]` into `self[dst_idx]` — how sharded walks merge
+    /// per-shard buffers into the global tuple-id space.
+    pub(crate) fn copy_at(&mut self, dst_idx: usize, src: &SharedAnswer, src_idx: usize) {
+        match (self, src) {
+            (SharedAnswer::Complex(d), SharedAnswer::Complex(s)) => d[dst_idx] = s[src_idx],
+            (SharedAnswer::Log(d), SharedAnswer::Log(s)) => d[dst_idx] = s[src_idx],
+            (SharedAnswer::Scaled(d), SharedAnswer::Scaled(s)) => d[dst_idx] = s[src_idx],
+            (SharedAnswer::Ranks(d), SharedAnswer::Ranks(s)) => d[dst_idx] = s[src_idx],
+            _ => unreachable!("answer shape fixed by the request kind"),
+        }
+    }
+}
+
 /// What one shared walk produced.
 #[derive(Clone, Debug)]
 pub struct SharedWalkOut {
@@ -155,15 +205,25 @@ pub struct SharedWalkOut {
     pub walk_seconds: f64,
 }
 
+/// Runs `f`; with `catch`, a panic becomes [`QueryError::Internal`]
+/// instead of unwinding.
+fn guarded<T>(catch: bool, f: impl FnOnce() -> T) -> Result<T, QueryError> {
+    if !catch {
+        return Ok(f());
+    }
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| QueryError::Internal {
+        reason: panic_reason(payload.as_ref()),
+    })
+}
+
 // ---------------------------------------------------------------------
 // Cost attribution
 // ---------------------------------------------------------------------
 
-/// Cost attribution recorded in a batched query's
-/// [`EvalReport`]: how much walk time was shared, and
-/// between how many queries. A batched entry's `kernel_seconds` is its
-/// amortized share `walk_seconds / consumers`; queries evaluated
-/// individually inside a batch carry `batch: None`.
+/// Cost attribution recorded in a walk-answered query's [`EvalReport`]:
+/// how much walk time was shared, and between how many queries. The
+/// entry's `kernel_seconds` is its amortized share
+/// `walk_seconds / consumers`; a single query has `consumers = 1`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BatchCost {
     /// Total wall-clock seconds of the shared walk.
@@ -188,8 +248,8 @@ impl BatchCost {
 pub enum BatchRoute {
     /// Served by the shared score-order walk.
     Shared,
-    /// Evaluated as an individual query (set/position semantics, closed
-    /// forms, the DFT mixture, or a backend without a shared-walk kernel).
+    /// Evaluated by its own per-query evaluator (U-Top, U-Rank, E-Score,
+    /// the DFT mixture).
     Single,
 }
 
@@ -252,6 +312,9 @@ pub struct QueryBatch {
     threads: Option<usize>,
 }
 
+/// Per-entry outcome slots of [`QueryBatch::execute`].
+type Outcomes = Vec<Option<Result<RankedResult, QueryError>>>;
+
 impl QueryBatch {
     /// An empty batch. At least one entry must be added before
     /// [`QueryBatch::run`]; running an empty batch is an error
@@ -288,9 +351,9 @@ impl QueryBatch {
         self
     }
 
-    /// Requests `threads` workers for the shared walk (sharded exactly like
-    /// [`crate::parallel::prf_rank_tree_parallel`]) and, as a default, for
-    /// parallel-capable kernels of individually evaluated entries.
+    /// Requests `threads` workers for the shared walk (sharded tree walks,
+    /// see [`crate::parallel`]) and, as a default, for the walks of
+    /// individually evaluated entries.
     ///
     /// This batch-level setting is the **only** control over the shared
     /// walk: a per-entry `RankQuery::parallel` cannot shard a walk it
@@ -341,26 +404,25 @@ impl QueryBatch {
     /// order and answer-equivalent to running each entry individually.
     ///
     /// Any per-entry failure — an unresolvable algorithm or a failing
-    /// individually-evaluated entry — fails the whole batch; serving
-    /// layers that must keep one bad query from poisoning a flush use
-    /// [`QueryBatch::run_isolated`] instead.
+    /// entry — fails the whole batch; serving layers that must keep one
+    /// bad query from poisoning a flush use [`QueryBatch::run_isolated`]
+    /// instead.
     pub fn run(
         &self,
         rel: &(impl ProbabilisticRelation + ?Sized),
     ) -> Result<Vec<RankedResult>, QueryError> {
         let plan = self.compile(rel)?;
-        let resolved: Vec<Result<(Algorithm, BatchRoute), QueryError>> =
-            plan.resolved.iter().map(|&r| Ok(r)).collect();
+        let resolved: Vec<_> = plan.resolved.iter().map(|&r| Ok(r)).collect();
         self.execute(rel, &resolved, true).into_iter().collect()
     }
 
     /// Runs every query with **per-entry error isolation**: each entry
     /// resolves, routes, and (when necessary) falls back independently, so
-    /// one incompatible or failing query yields an `Err` in *its* slot
-    /// while every other entry still shares the walk. Results are in entry
-    /// order; an empty batch returns an empty vector (a serving layer never
-    /// flushes an empty queue, so there is no entry to report
-    /// [`QueryError::EmptyBatch`] through).
+    /// one incompatible, failing or panicking query yields an `Err` in
+    /// *its* slot while every other entry still shares the walk. Results
+    /// are in entry order; an empty batch returns an empty vector (a
+    /// serving layer never flushes an empty queue, so there is no entry to
+    /// report [`QueryError::EmptyBatch`] through).
     ///
     /// Ok entries are answer-identical to what [`QueryBatch::run`] produces
     /// for a batch containing only the valid queries.
@@ -368,7 +430,7 @@ impl QueryBatch {
         &self,
         rel: &(impl ProbabilisticRelation + ?Sized),
     ) -> Vec<Result<RankedResult, QueryError>> {
-        let resolved: Vec<Result<(Algorithm, BatchRoute), QueryError>> = self
+        let resolved: Vec<_> = self
             .entries
             .iter()
             .map(|e| {
@@ -379,205 +441,65 @@ impl QueryBatch {
         self.execute(rel, &resolved, false)
     }
 
-    /// The shared execution core of [`QueryBatch::run`] and
-    /// [`QueryBatch::run_isolated`]: entries whose resolution failed carry
-    /// their error through; the rest share one walk where routed.
-    /// `fail_fast` stops at the first errored entry (the all-or-nothing
-    /// `run` path discards everything after it anyway), leaving the
-    /// returned vector short.
+    /// The one-entry batch [`RankQuery::run`] executes: the query's own
+    /// thread request drives the walk.
+    pub(crate) fn run_one(
+        query: &RankQuery,
+        rel: &(impl ProbabilisticRelation + ?Sized),
+        algorithm: Algorithm,
+    ) -> Result<RankedResult, QueryError> {
+        let batch = QueryBatch {
+            entries: vec![query.clone()],
+            top_k: None,
+            threads: query.threads,
+        };
+        let resolved = [Ok((algorithm, route(&query.semantics, algorithm)))];
+        batch
+            .execute(rel, &resolved, true)
+            .pop()
+            .expect("one entry, one outcome")
+    }
+
+    /// The execution core of every entry point: entries whose resolution
+    /// failed carry their error through; the rest share one walk where
+    /// routed. `fail_fast` (the all-or-nothing `run` path) lets panics
+    /// unwind and stops at the first errored entry, leaving the returned
+    /// vector short; otherwise panics are caught per entry.
     fn execute(
         &self,
         rel: &(impl ProbabilisticRelation + ?Sized),
         resolved: &[Result<(Algorithm, BatchRoute), QueryError>],
         fail_fast: bool,
     ) -> Vec<Result<RankedResult, QueryError>> {
-        // Assemble the shared-walk spec from the resolvable Shared entries.
-        // Entries whose cancellation token already tripped are answered
-        // `TimedOut` without joining the walk (or evaluating at all).
-        let mut spec = SharedWalkSpec {
-            requests: Vec::new(),
-            threads: self.threads,
-            cancel: None,
-        };
-        let mut request_of = vec![usize::MAX; self.entries.len()];
-        let mut expired = vec![false; self.entries.len()];
-        let mut shared_tokens: Vec<CancelToken> = Vec::new();
-        let mut shared_untracked = 0usize;
+        let mut outcomes: Outcomes = self.entries.iter().map(|_| None).collect();
+        // Resolution errors and already-expired entries (answered without
+        // joining the walk or evaluating at all) are settled up front.
+        let mut shared = Vec::new();
         for (i, entry) in self.entries.iter().enumerate() {
-            if entry.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                expired[i] = true;
-                continue;
-            }
-            if let Ok((algorithm, BatchRoute::Shared)) = resolved[i] {
-                request_of[i] = spec.requests.len();
-                spec.requests
-                    .push(shared_request(entry.semantics(), algorithm));
-                match &entry.cancel {
-                    Some(token) => shared_tokens.push(token.clone()),
-                    None => shared_untracked += 1,
-                }
+            match &resolved[i] {
+                _ if entry.cancelled() => outcomes[i] = Some(Err(QueryError::TimedOut)),
+                Err(e) => outcomes[i] = Some(Err(e.clone())),
+                Ok((algorithm, BatchRoute::Shared)) => shared.push((i, *algorithm)),
+                Ok((_, BatchRoute::Single)) => {}
             }
         }
-        // The walk aborts only once *every* consumer has cancelled — with
-        // any token-less consumer aboard it can never be abandoned.
-        if shared_untracked == 0 && !shared_tokens.is_empty() {
-            spec.cancel = Some(CancelToken::all_of(shared_tokens));
-        }
-
-        // One walk serves every shared entry; `None` (no backend kernel, or
-        // a walk abandoned because every consumer cancelled) demotes them
-        // all to individual evaluation. In isolated mode a panicking walk is
-        // caught and demoted the same way: each entry then re-runs (and
-        // re-panics) alone, so the failure lands on the culpable entries as
-        // [`QueryError::Internal`] instead of unwinding through the caller.
-        let walk = if spec.requests.is_empty() {
-            None
-        } else if fail_fast {
-            rel.run_shared_walk(&spec)
-        } else {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rel.run_shared_walk(&spec)))
-                .unwrap_or(None)
-        };
-        let (mut answers, stats, walk_seconds, consumers) = match walk {
-            Some(out) => {
-                let consumers = out.answers.len();
-                (
-                    out.answers.into_iter().map(Some).collect::<Vec<_>>(),
-                    out.stats,
-                    out.walk_seconds,
-                    consumers,
-                )
-            }
-            None => (Vec::new(), None, 0.0, 0),
-        };
-
-        // Take every answered entry's walk answer up front: per-entry
-        // finalization (value vector + ranking construction) is
-        // independent O(n)–O(n·log n) work that dominates the post-walk
-        // wall on multi-entry batches over large relations, so it fans
-        // out over scoped threads under the same opt-in contract as the
-        // shard-parallel walk (`parallel(t)` requested and every
-        // worker's share clearing the parallel floor). Results scatter
-        // back by entry index, so entry order is untouched.
-        let cost = BatchCost {
-            walk_seconds,
-            consumers,
-        };
-        let n_rel = rel.n_tuples();
-        let backend = rel.correlation_class();
-        let mut jobs: Vec<(usize, Algorithm, SharedAnswer)> = Vec::new();
-        for i in 0..self.entries.len() {
-            if expired[i] || request_of[i] == usize::MAX || answers.is_empty() {
-                continue;
-            }
-            if let Ok((algorithm, _)) = resolved[i] {
-                if let Some(answer) = answers
-                    .get_mut(request_of[i])
-                    .and_then(std::option::Option::take)
-                {
-                    jobs.push((i, algorithm, answer));
-                }
-            }
-        }
-        let mut shared_results: Vec<Option<RankedResult>> =
-            self.entries.iter().map(|_| None).collect();
-        let finalize_threads =
-            crate::parallel::effective_walk_threads(n_rel, self.threads).min(jobs.len().max(1));
-        if finalize_threads > 1 {
-            let mut buckets: Vec<Vec<(usize, Algorithm, SharedAnswer)>> =
-                (0..finalize_threads).map(|_| Vec::new()).collect();
-            for (j, job) in jobs.into_iter().enumerate() {
-                buckets[j % finalize_threads].push(job);
-            }
-            let outs = std::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        scope.spawn(move || {
-                            bucket
-                                .into_iter()
-                                .map(|(i, algorithm, answer)| {
-                                    (
-                                        i,
-                                        self.finalize_shared(
-                                            &self.entries[i],
-                                            algorithm,
-                                            n_rel,
-                                            backend,
-                                            answer,
-                                            cost,
-                                            stats,
-                                        ),
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(std::thread::ScopedJoinHandle::join)
-                    .collect::<Vec<_>>()
-            });
-            for out in outs {
-                match out {
-                    Ok(list) => {
-                        for (i, r) in list {
-                            shared_results[i] = Some(r);
-                        }
-                    }
-                    // A finalize panic propagates exactly like the serial
-                    // path's would (finalization is infallible assembly;
-                    // a panic there is an internal bug, not an entry
-                    // error).
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        } else {
-            for (i, algorithm, answer) in jobs {
-                shared_results[i] = Some(self.finalize_shared(
-                    &self.entries[i],
-                    algorithm,
-                    n_rel,
-                    backend,
-                    answer,
-                    cost,
-                    stats,
-                ));
-            }
+        if !shared.is_empty() {
+            self.walk_shared(rel, &shared, fail_fast, &mut outcomes);
         }
 
         let mut results = Vec::with_capacity(self.entries.len());
         for (i, entry) in self.entries.iter().enumerate() {
-            if expired[i] {
-                results.push(Err(QueryError::TimedOut));
-                if fail_fast {
-                    break;
-                }
-                continue;
-            }
-            if let Err(e) = &resolved[i] {
-                results.push(Err(e.clone()));
-                if fail_fast {
-                    break;
-                }
-                continue;
-            }
-            let result = match shared_results[i].take() {
-                Some(result) => Ok(result),
-                // Single-route entries (and every entry when the backend
-                // has no shared walk) run as the equivalent single query —
-                // in isolated mode with the panic caught, so a poisonous
-                // entry fails alone instead of unwinding the flush.
-                None if fail_fast => self.effective_single(entry).run(rel),
+            let result = match outcomes[i].take() {
+                Some(result) => result,
+                // Single-route entries run their per-query evaluator — in
+                // isolated mode with the panic caught, so a poisonous entry
+                // fails alone instead of unwinding the flush.
                 None => {
-                    let single = self.effective_single(entry);
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| single.run(rel)))
-                        .unwrap_or_else(|payload| {
-                            Err(QueryError::Internal {
-                                reason: panic_reason(payload.as_ref()),
-                            })
-                        })
+                    let Ok((algorithm, _)) = resolved[i] else {
+                        unreachable!("unresolved entries are settled up front")
+                    };
+                    guarded(!fail_fast, || self.evaluate_single(entry, algorithm, rel))
+                        .and_then(|r| r)
                 }
             };
             let errored = result.is_err();
@@ -589,65 +511,150 @@ impl QueryBatch {
         results
     }
 
-    /// The single-query form of an entry with batch-level defaults filled
-    /// in (threads, `top_k`).
-    fn effective_single(&self, entry: &RankQuery) -> RankQuery {
-        let mut q = entry.clone();
-        if q.top_k.is_none() {
-            q.top_k = self.top_k;
+    /// Serves the `(entry index, algorithm)` pairs of the walk-routed
+    /// entries from one walk, writing each entry's outcome. A declined
+    /// (or, in isolated mode, panicked) multi-consumer walk is retried one
+    /// entry at a time, so the failure lands on the entries that cause it.
+    fn walk_shared(
+        &self,
+        rel: &(impl ProbabilisticRelation + ?Sized),
+        shared: &[(usize, Algorithm)],
+        fail_fast: bool,
+        outcomes: &mut Outcomes,
+    ) {
+        let requests: Vec<SharedRequest> = shared
+            .iter()
+            .map(|&(i, a)| shared_request(self.entries[i].semantics(), a))
+            .collect();
+        // The walk aborts only once *every* consumer has cancelled — with
+        // any token-less consumer aboard it can never be abandoned.
+        let tokens: Option<Vec<CancelToken>> = shared
+            .iter()
+            .map(|&(i, _)| self.entries[i].cancel.clone())
+            .collect();
+        let spec = SharedWalkSpec {
+            requests,
+            threads: self.threads,
+            cancel: tokens.map(CancelToken::all_of),
+        };
+        let n = rel.n_tuples();
+        let backend = rel.correlation_class();
+        let mut jobs: Vec<FinalizeJob> = Vec::with_capacity(shared.len());
+        let walk = |spec: &SharedWalkSpec| {
+            guarded(!fail_fast, || {
+                rel.run_shared_walk(spec, &PreparedState::empty())
+            })
+        };
+        match walk(&spec) {
+            Ok(Some(out)) => {
+                let cost = BatchCost {
+                    walk_seconds: out.walk_seconds,
+                    consumers: out.answers.len(),
+                };
+                for (&(i, algorithm), answer) in shared.iter().zip(out.answers) {
+                    jobs.push((i, algorithm, answer, cost, out.stats));
+                }
+            }
+            failed => {
+                for (&(i, algorithm), req) in shared.iter().zip(spec.requests) {
+                    let entry = &self.entries[i];
+                    let alone = if entry.cancelled() {
+                        Ok(None) // reported as its own `TimedOut`
+                    } else if shared.len() == 1 {
+                        failed.clone()
+                    } else {
+                        let spec = SharedWalkSpec {
+                            requests: vec![req],
+                            threads: self.threads,
+                            cancel: entry.cancel.clone(),
+                        };
+                        walk(&spec)
+                    };
+                    match alone {
+                        Ok(Some(mut out)) => {
+                            let cost = BatchCost {
+                                walk_seconds: out.walk_seconds,
+                                consumers: 1,
+                            };
+                            let answer = out.answers.pop().expect("one request, one answer");
+                            jobs.push((i, algorithm, answer, cost, out.stats));
+                        }
+                        Ok(None) => outcomes[i] = Some(Err(declined(entry, backend))),
+                        Err(e) => outcomes[i] = Some(Err(e)),
+                    }
+                }
+            }
         }
-        if q.threads.is_none() {
-            q.threads = self.threads;
+
+        // Per-entry finalization (value vector + ranking construction) is
+        // independent O(n)–O(n·log n) work that dominates the post-walk
+        // wall on multi-entry batches over large relations, so it fans out
+        // over scoped threads under the same opt-in contract as the
+        // shard-parallel walk (`parallel(t)` requested and every worker's
+        // share clearing the parallel floor). Results scatter back by
+        // entry index, so entry order is untouched.
+        let threads = crate::parallel::effective_walk_threads(n, self.threads).min(jobs.len());
+        let finalize = |bucket: Vec<FinalizeJob>| -> Vec<(usize, RankedResult)> {
+            bucket
+                .into_iter()
+                .map(|job| (job.0, self.finalize_shared(job, n, backend)))
+                .collect()
+        };
+        let finalized = if threads <= 1 {
+            finalize(jobs)
+        } else {
+            let mut buckets: Vec<Vec<FinalizeJob>> = (0..threads).map(|_| Vec::new()).collect();
+            for (j, job) in jobs.into_iter().enumerate() {
+                buckets[j % threads].push(job);
+            }
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = buckets
+                    .into_iter()
+                    .map(|bucket| scope.spawn(|| finalize(bucket)))
+                    .collect();
+                // A finalize panic propagates exactly like the serial
+                // path's would (finalization is infallible assembly; a
+                // panic there is an internal bug, not an entry error).
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        for (i, result) in finalized {
+            outcomes[i] = Some(Ok(result));
         }
-        q
     }
 
-    /// Builds the [`RankedResult`] of a shared entry from its walk answer,
-    /// mirroring the single-query value/ranking construction exactly. A
-    /// requested `top_k` is **pushed down** into the ranking construction:
-    /// only the best-`k` prefix is selected and sorted (the per-tuple
-    /// values stay complete, like the single-query path), which is
-    /// answer-identical to materialising the full ranking and truncating —
-    /// pinned by `batch_top_k_pushdown_agrees_with_full_rankings` and the
+    /// Builds the [`RankedResult`] of a walk-answered entry. A requested
+    /// `top_k` is **pushed down** into the ranking construction: only the
+    /// best-`k` prefix is selected and sorted (the per-tuple values stay
+    /// complete), which is answer-identical to materialising the full
+    /// ranking and truncating — pinned by
+    /// `batch_top_k_pushdown_agrees_with_full_rankings` and the
     /// differential suite.
-    #[allow(clippy::too_many_arguments)]
     fn finalize_shared(
         &self,
-        entry: &RankQuery,
-        algorithm: Algorithm,
+        (i, algorithm, answer, cost, stats): FinalizeJob,
         n: usize,
         backend: CorrelationClass,
-        answer: SharedAnswer,
-        cost: BatchCost,
-        stats: Option<GfStats>,
     ) -> RankedResult {
         let finalize_start = Instant::now();
+        let entry = &self.entries[i];
         let top_k = entry.top_k.or(self.top_k);
         // The pushdown cap: how much of the ranking to materialise.
         let cap = top_k.unwrap_or(n).min(n);
+        let order = |default| entry.value_order.unwrap_or(default);
         let (values, ranking) = match (&entry.semantics, answer) {
-            (Semantics::Prf(_), SharedAnswer::Complex(vals)) => {
-                let ranking = Ranking::from_values_topk(
-                    &vals,
-                    entry.value_order.unwrap_or(ValueOrder::Magnitude),
-                    cap,
-                );
-                (Values::Complex(vals), ranking)
-            }
+            // The classical real-valued semantics rank by the real part
+            // (identical to |Υ| for their non-negative values, and
+            // bitwise-stable for differential comparisons).
             (Semantics::Pt(_) | Semantics::Consensus(_), SharedAnswer::Complex(vals)) => {
-                let ranking = Ranking::from_values_topk(
-                    &vals,
-                    entry.value_order.unwrap_or(ValueOrder::RealPart),
-                    cap,
-                );
+                let ranking = Ranking::from_values_topk(&vals, order(ValueOrder::RealPart), cap);
                 (Values::Complex(vals), ranking)
             }
-            (Semantics::Prfe(_), SharedAnswer::Complex(vals)) => {
-                let ranking = Ranking::from_values_topk(
-                    &vals,
-                    entry.value_order.unwrap_or(ValueOrder::Magnitude),
-                    cap,
-                );
+            (Semantics::Prf(_) | Semantics::Prfe(_), SharedAnswer::Complex(vals)) => {
+                let ranking = Ranking::from_values_topk(&vals, order(ValueOrder::Magnitude), cap);
                 (Values::Complex(vals), ranking)
             }
             (Semantics::Prfe(_), SharedAnswer::Log(keys)) => {
@@ -655,48 +662,204 @@ impl QueryBatch {
                 (Values::LogDomain(keys), ranking)
             }
             (Semantics::Prfe(_), SharedAnswer::Scaled(vals)) => {
-                let ranking = entry.rank_scaled_topk(&vals, ValueOrder::Magnitude, Some(cap));
+                let ranking = scaled_ranking(&vals, order(ValueOrder::Magnitude), cap);
                 (Values::Scaled(vals), ranking)
             }
             (Semantics::ERank, SharedAnswer::Ranks(er)) => {
-                // Negated so higher ranks better, like the single query.
+                // Negated so that — like every other semantics — higher
+                // values rank better.
                 let vals: Vec<Complex> = er.iter().map(|&e| Complex::real(-e)).collect();
                 let keys: Vec<f64> = er.into_iter().map(|e| -e).collect();
                 (Values::Complex(vals), Ranking::from_keys_topk(&keys, cap))
             }
-            (sem, ans) => unreachable!(
-                "shared answer shape mismatch: {sem:?} got {}",
-                match ans {
-                    SharedAnswer::Complex(_) => "Complex",
-                    SharedAnswer::Log(_) => "Log",
-                    SharedAnswer::Scaled(_) => "Scaled",
-                    SharedAnswer::Ranks(_) => "Ranks",
-                }
-            ),
+            (sem, ans) => unreachable!("shared answer shape mismatch: {sem:?} got {ans:?}"),
         };
 
         let amortized = cost.amortized_seconds();
-        let report = EvalReport {
-            semantics: entry.semantics.name(),
-            backend,
-            algorithm,
-            auto_selected: matches!(entry.algorithm, Algorithm::Auto),
-            numeric_mode: values.numeric_mode(),
-            kernel_seconds: amortized,
-            total_seconds: amortized + finalize_start.elapsed().as_secs_f64(),
-            truncated_to: top_k,
-            // The walk's actual thread count — a per-entry `parallel` has
-            // no effect on a walk shared with other entries.
-            threads: self.threads,
-            memory: stats,
-            batch: Some(cost),
-            serve: None,
-        };
+        let mut report = EvalReport::new(entry, algorithm, backend, &values);
+        report.kernel_seconds = amortized;
+        report.total_seconds = amortized + finalize_start.elapsed().as_secs_f64();
+        report.truncated_to = top_k;
+        // The walk's actual thread count — a per-entry `parallel` has no
+        // effect on a walk shared with other entries.
+        report.threads = self.threads;
+        report.memory = stats;
+        report.batch = Some(cost);
         RankedResult {
             values,
             ranking,
             set: None,
             report,
+        }
+    }
+
+    /// The per-query evaluators of the [`BatchRoute::Single`] semantics:
+    /// E-Score's closed form, U-Rank's positional candidate table, U-Top's
+    /// set sweep, and the DFT mixture assembled term by term from
+    /// single-request scaled PRFe walks. Batch-level `top_k` and thread
+    /// defaults apply where the entry sets none.
+    fn evaluate_single(
+        &self,
+        entry: &RankQuery,
+        algorithm: Algorithm,
+        rel: &(impl ProbabilisticRelation + ?Sized),
+    ) -> Result<RankedResult, QueryError> {
+        let start = Instant::now();
+        let backend = rel.correlation_class();
+        let mut kernel_seconds = 0.0;
+        let mut memory = None;
+        let (values, mut ranking, set) = match (&entry.semantics, algorithm) {
+            (Semantics::EScore, _) => {
+                // ω(t, i) = score(t) makes Υ = Pr(t)·score(t); evaluate the
+                // closed form directly rather than through the generating
+                // function (O(n) instead of O(n²), bit-identical keys).
+                let vals: Vec<Complex> = timed(&mut kernel_seconds, || {
+                    rel.tuple_marginals()
+                        .iter()
+                        .zip(rel.tuple_scores())
+                        .map(|(&p, s)| Complex::real(p * s))
+                        .collect()
+                });
+                let order = entry.value_order.unwrap_or(ValueOrder::RealPart);
+                let ranking = Ranking::from_values(&vals, order);
+                (Values::Complex(vals), ranking, None)
+            }
+            (Semantics::URank(k), _) => {
+                let table = timed(&mut kernel_seconds, || rel.positional_candidates(*k))
+                    .ok_or_else(|| declined(entry, backend))?;
+                let chosen = table.select_distinct();
+                let mut vals = vec![Complex::ZERO; rel.n_tuples()];
+                for &(p, t) in &chosen {
+                    vals[t.index()] = Complex::real(p);
+                }
+                let (keys, order): (Vec<f64>, Vec<TupleId>) = chosen.into_iter().unzip();
+                let ranking = Ranking::from_order_and_keys(order, keys);
+                (Values::Complex(vals), ranking, None)
+            }
+            (Semantics::UTop(k), _) => {
+                let (members, log_prob) =
+                    timed(&mut kernel_seconds, || rel.most_probable_topk(*k))?;
+                let scores = rel.tuple_scores();
+                let mut vals = vec![Complex::ZERO; rel.n_tuples()];
+                for &t in &members {
+                    vals[t.index()] = Complex::ONE;
+                }
+                let keys: Vec<f64> = members.iter().map(|t| scores[t.index()]).collect();
+                let ranking = Ranking::from_order_and_keys(members.clone(), keys);
+                let set = TopSet { members, log_prob };
+                (Values::Complex(vals), ranking, Some(set))
+            }
+            (sem, Algorithm::DftApprox(cfg)) => {
+                let walk_start = Instant::now();
+                let omega = sem.weight().expect("validated: weight-based semantics");
+                let h = omega.truncation().expect("validated: truncated weight");
+                reject_tuple_dependent(&*omega, h)?;
+                let tab: Vec<f64> = tabulate(&*omega, h).iter().map(|w| w.re).collect();
+                let mix = approximate_weights(&|i| tab.get(i).copied().unwrap_or(0.0), h, &cfg);
+                // Υ = Σ_l u_l·Υ_{PRFe(α_l)}, accumulated in term order from
+                // one single-request walk per term over one prepared state,
+                // so only the accumulator and one term's answer are resident
+                // at a time.
+                let state = rel.prepare();
+                let mut vals = vec![Scaled::<Complex>::zero(); rel.n_tuples()];
+                for &(u, alpha) in &mix.terms {
+                    let spec = SharedWalkSpec {
+                        requests: vec![SharedRequest::PrfeScaled(alpha)],
+                        threads: entry.threads.or(self.threads),
+                        cancel: entry.cancel.clone(),
+                    };
+                    let out = rel
+                        .run_shared_walk(&spec, &state)
+                        .ok_or_else(|| declined(entry, backend))?;
+                    if let Some(stats) = out.stats {
+                        // Term walks run one after another: the peak is the
+                        // largest walk's, not their sum.
+                        if memory.is_none_or(|m: GfStats| stats.peak_bytes > m.peak_bytes) {
+                            memory = Some(stats);
+                        }
+                    }
+                    let Some(SharedAnswer::Scaled(term)) = out.answers.into_iter().next() else {
+                        unreachable!("scaled request, scaled answer")
+                    };
+                    let us = Scaled::new(u);
+                    for (acc, v) in vals.iter_mut().zip(term) {
+                        *acc = acc.add(&v.mul(&us));
+                    }
+                }
+                kernel_seconds += walk_start.elapsed().as_secs_f64();
+                let order = entry.value_order.unwrap_or(ValueOrder::RealPart);
+                let ranking = scaled_ranking(&vals, order, vals.len());
+                (Values::Scaled(vals), ranking, None)
+            }
+            (sem, alg) => unreachable!("walk-routed entry {sem:?} / {}", alg.name()),
+        };
+        let top_k = entry.top_k.or(self.top_k);
+        if let Some(k) = top_k {
+            ranking.truncate(k);
+        }
+        let mut report = EvalReport::new(entry, algorithm, backend, &values);
+        report.kernel_seconds = kernel_seconds;
+        report.total_seconds = start.elapsed().as_secs_f64();
+        report.truncated_to = top_k;
+        report.threads = entry.threads.or(self.threads);
+        report.memory = memory;
+        Ok(RankedResult {
+            values,
+            ranking,
+            set,
+            report,
+        })
+    }
+}
+
+/// One walk-answered entry awaiting finalization: `(entry index, resolved
+/// algorithm, walk answer, walk cost, walk memory accounting)`.
+type FinalizeJob = (usize, Algorithm, SharedAnswer, BatchCost, Option<GfStats>);
+
+/// The error of an entry whose walk the backend declined: its own tripped
+/// cancellation token, or a semantics the backend has no kernel for.
+fn declined(entry: &RankQuery, backend: CorrelationClass) -> QueryError {
+    if entry.cancelled() {
+        QueryError::TimedOut
+    } else {
+        QueryError::Unsupported {
+            semantics: entry.semantics.label(),
+            backend,
+        }
+    }
+}
+
+/// The DFT mixture can only represent *rank-only* weights. Probes `ω` with
+/// two distinct tuples and rejects tuple-dependent weight functions instead
+/// of silently tabulating through one representative (which would zero out
+/// e.g. a score-proportional `ω`).
+fn reject_tuple_dependent(omega: &dyn WeightFunction, h: usize) -> Result<(), QueryError> {
+    let probe = |id, score, prob| prf_pdb::Tuple {
+        id: TupleId(id),
+        score,
+        prob,
+    };
+    let (a, b) = (probe(0, 0.0, 1.0), probe(1, 1.0, 0.5));
+    if (1..=h).any(|i| omega.weight(&a, i) != omega.weight(&b, i)) {
+        return Err(QueryError::InvalidParameter(format!(
+            "DftApprox requires a rank-only weight function; {} depends on the tuple",
+            omega.name()
+        )));
+    }
+    Ok(())
+}
+
+/// The best-`k` ranking of scaled Υ values under `order` (identical to the
+/// full ranking truncated to `k`).
+fn scaled_ranking(vals: &[Scaled<Complex>], order: ValueOrder, k: usize) -> Ranking {
+    match order {
+        ValueOrder::Magnitude => {
+            let keys: Vec<f64> = vals.iter().map(|v| v.magnitude_key()).collect();
+            Ranking::from_keys_topk(&keys, k)
+        }
+        ValueOrder::RealPart => {
+            let keys: Vec<_> = vals.iter().map(|v| v.real_part_key()).collect();
+            Ranking::from_keys_by_topk(&keys, |k| k.display(), k)
         }
     }
 }
@@ -719,9 +882,8 @@ fn route(semantics: &Semantics, algorithm: Algorithm) -> BatchRoute {
 /// The backend-facing request of a shared entry.
 fn shared_request(semantics: &Semantics, algorithm: Algorithm) -> SharedRequest {
     match (semantics, algorithm) {
-        (Semantics::Prf(w), _) => SharedRequest::Weight(w.clone()),
-        (Semantics::Pt(h) | Semantics::Consensus(h), _) => {
-            SharedRequest::Weight(Arc::new(crate::weights::StepWeight { h: *h }))
+        (Semantics::Prf(_) | Semantics::Pt(_) | Semantics::Consensus(_), _) => {
+            SharedRequest::Weight(semantics.weight().expect("weight-based semantics"))
         }
         (Semantics::Prfe(alpha), Algorithm::ExactGf) => SharedRequest::PrfeComplex(*alpha),
         // Validated real ∈ [0, 1] by `resolve_algorithm`.

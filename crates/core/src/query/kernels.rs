@@ -8,7 +8,7 @@
 
 use prf_numeric::Poly;
 use prf_pdb::tuple::sort_indices_by_score_desc;
-use prf_pdb::{AndXorTree, IndependentDb, TupleId, WorldEnumeration};
+use prf_pdb::{IndependentDb, TupleId, WorldEnumeration};
 
 // ---------------------------------------------------------------------
 // U-Rank: bounded per-position candidate lists
@@ -102,42 +102,6 @@ pub fn positional_candidates_independent(db: &IndependentDb, k: usize) -> Positi
             table.push(m, c * t.prob, t.id);
         }
         g.mul_linear_in_place(1.0 - t.prob, t.prob, k);
-    }
-    table
-}
-
-/// Candidate table on an and/xor tree: the `O(n·k·log n)` x-tuple fast path
-/// per position when available, otherwise one truncated symbolic expansion
-/// per tuple.
-pub fn positional_candidates_tree(tree: &AndXorTree, k: usize) -> PositionalCandidates {
-    use crate::weights::PositionWeight;
-    let n = tree.n_tuples();
-    let mut table = PositionalCandidates::new(k);
-    if tree.x_tuple_groups().is_some() {
-        for j in 1..=k {
-            let w = PositionWeight { j };
-            let vals =
-                crate::xtuple::prf_omega_rank_xtuple(tree, &w).expect("x-tuple form checked");
-            for (t, v) in vals.iter().enumerate() {
-                table.push(j - 1, v.re, TupleId(t as u32));
-            }
-        }
-    } else {
-        let (order, pos) = crate::tree::score_order(tree);
-        for (i, &t) in order.iter().enumerate() {
-            let gf = tree.generating_function(|u| {
-                if u == t {
-                    prf_numeric::RankPoly::y().with_cap(k)
-                } else if pos[u.index()] < i {
-                    prf_numeric::RankPoly::x().with_cap(k)
-                } else {
-                    prf_numeric::RankPoly::one().with_cap(k)
-                }
-            });
-            for j in 1..=k.min(n) {
-                table.push(j - 1, gf.rank_probability(j), t);
-            }
-        }
     }
     table
 }

@@ -30,6 +30,19 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
+//! # One evaluation path
+//!
+//! [`RankQuery::run`] compiles and executes a one-entry [`QueryBatch`], so
+//! a single query and a batch entry take the same route: every PRFω, PT,
+//! Consensus, PRFe (exact, log-domain, scaled) and E-Rank answer is one
+//! [`batch::SharedRequest`] of one score-order walk, served by the backend's
+//! single walk entry [`ProbabilisticRelation::run_shared_walk`]. Only the
+//! semantics with no shared-walk form keep a per-query evaluator
+//! ([`BatchRoute::Single`]): U-Top, U-Rank, E-Score and the DFT mixture
+//! (which accumulates its answer from one single-request scaled PRFe walk
+//! per mixture term). [`EvalReport::batch`] is `Some` exactly when the
+//! answer was read off a walk.
+//!
 //! # Semantics × algorithm compatibility
 //!
 //! | semantics | `ExactGf` | `LogDomain` | `Scaled` | `DftApprox` |
@@ -45,7 +58,7 @@
 //! represent); [`Algorithm::Auto`] (the default) always picks a compatible
 //! member, and for PRFe keeps the plain-complex exact route only while the
 //! walk provably stays clear of `f64` underflow (an α-aware threshold
-//! `≈ 620/(−ln α)`, capped at 4096) before switching to the
+//! `≈ 620/(−ln |α|)`, capped at 4096) before switching to the
 //! underflow-free log-domain/scaled routes.
 
 use std::sync::Arc;
@@ -55,9 +68,9 @@ use prf_numeric::{Complex, Scaled};
 use prf_pdb::TupleId;
 
 use crate::incremental::GfStats;
-use crate::mixture::{approximate_weights, DftApproxConfig};
+use crate::mixture::DftApproxConfig;
 use crate::topk::{Ranking, ValueOrder};
-use crate::weights::{tabulate, StepWeight, WeightFunction};
+use crate::weights::{StepWeight, WeightFunction};
 
 pub mod batch;
 pub mod kernels;
@@ -70,24 +83,30 @@ pub use key::QueryKey;
 pub use prepared::{PreparedRelation, PreparedState};
 pub use relation::{CorrelationClass, ProbabilisticRelation};
 
-/// Fallback ceiling of [`auto_prfe_exact_max`] for complex or edge-case α
-/// (`α ∉ (0, 1)`), where the per-tuple magnitude decay has no simple
-/// closed form — the pre-profiling hand-set value, kept as the
-/// conservative legacy bound.
+/// Ceiling of [`auto_prfe_exact_max`] for `|α| ≥ 1`, where the walk's
+/// magnitudes no longer shrink like `|α|ᵏ` and the ln-budget bound has
+/// nothing to say — the pre-profiling hand-set value, kept as the
+/// conservative legacy bound (factors `1 − p + p·α` off the positive real
+/// axis can still nearly cancel).
 const AUTO_PRFE_EXACT_MAX: usize = 1024;
 /// Ceiling of [`auto_prfe_exact_max`] for well-conditioned α: past this
 /// size the log-domain/scaled routes are just as fast, so there is nothing
 /// to win by staying in plain complex arithmetic.
 const AUTO_PRFE_EXACT_CAP: usize = 4096;
 /// Magnitude budget (in nats) of the plain-complex PRFe walk: the walk's
-/// running generating-function values decay at worst like `αᵏ`, and
+/// running generating-function values decay at worst like `|α|ᵏ`, and
 /// `e^(−620) ≈ 10^(−269)` keeps them ~35 decades above `f64`'s subnormal
 /// cliff (`≈ 4.9·10^(−324)`) where ranking keys lose all precision.
 const AUTO_PRFE_LN_BUDGET: f64 = 620.0;
 
 /// Largest `n` for which `Auto` keeps PRFe(α) in plain complex
-/// arithmetic, α-aware: `min(4096, 620 / (−ln α))` for real `α ∈ (0, 1)`,
-/// the legacy 1024 otherwise.
+/// arithmetic, α-aware:
+///
+/// * `0 < |α| < 1` (real or complex): `min(4096, 620 / (−ln |α|))`, at
+///   least 1 — e.g. 134 at α = 0.01, 920 at α = 0.5+0.1i;
+/// * `α = 0`: every Υ is exactly zero in every numeric mode, so nothing
+///   can underflow — the 4096 cap;
+/// * `|α| ≥ 1`: the legacy 1024 ([`AUTO_PRFE_EXACT_MAX`]).
 ///
 /// Profiled with the `live` experiment scenario (`cargo run --release -p
 /// prf-bench --bin experiments -- live`), which finds the smallest `n*`
@@ -97,13 +116,17 @@ const AUTO_PRFE_LN_BUDGET: f64 = 620.0;
 /// 269 vs 1015; α = 0.5: 894 vs 2473; α = 0.9: capped 4096 vs 14744) —
 /// so the bound switches to the underflow-free routes well before
 /// precision is lost, never after. The old hand-set threshold (1024) was
-/// *unsafe* for α ≤ 0.05 (measured divergence at n* = 847 and 882, below
-/// 1024) and needlessly conservative for α near 1.
+/// *unsafe* for |α| ≤ 0.05: at α = 0.01+0.01i and n = 1000 it kept 521
+/// underflowed (exactly zero) values on the plain route.
 fn auto_prfe_exact_max(alpha: Complex) -> usize {
-    if alpha.im != 0.0 || !(alpha.re > 0.0 && alpha.re < 1.0) {
+    let magnitude = alpha.abs();
+    if magnitude == 0.0 {
+        return AUTO_PRFE_EXACT_CAP;
+    }
+    if magnitude.is_nan() || magnitude >= 1.0 {
         return AUTO_PRFE_EXACT_MAX;
     }
-    let bound = AUTO_PRFE_LN_BUDGET / -alpha.re.ln();
+    let bound = AUTO_PRFE_LN_BUDGET / -magnitude.ln();
     (bound as usize).clamp(1, AUTO_PRFE_EXACT_CAP)
 }
 /// `Auto` switches PT(h)/Consensus(k) on *general* trees to the DFT
@@ -165,6 +188,21 @@ impl Semantics {
         }
     }
 
+    /// The semantics family's static name, as reported by
+    /// [`QueryError::Unsupported`].
+    fn label(&self) -> &'static str {
+        match self {
+            Semantics::Prf(_) => "PRFω",
+            Semantics::Prfe(_) => "PRFe",
+            Semantics::Pt(_) => "PT",
+            Semantics::UTop(_) => "U-Top",
+            Semantics::URank(_) => "U-Rank",
+            Semantics::ERank => "E-Rank",
+            Semantics::EScore => "E-Score",
+            Semantics::Consensus(_) => "Consensus",
+        }
+    }
+
     /// The effective weight function for the weight-based semantics
     /// (`Prf`, `Pt`, `Consensus`), `None` otherwise.
     fn weight(&self) -> Option<Arc<dyn WeightFunction + Send + Sync>> {
@@ -188,7 +226,7 @@ impl std::fmt::Debug for Semantics {
 pub enum Algorithm {
     /// Let the engine choose, keyed on `n`, the backend's correlation
     /// class, and (for PRFe) α — plain-complex exact only while `n` is
-    /// under the α-aware underflow threshold (`≈ 620/(−ln α)`, capped at
+    /// under the α-aware underflow threshold (`≈ 620/(−ln |α|)`, capped at
     /// 4096), the log-domain/scaled routes beyond it.
     Auto,
     /// The exact generating-function algorithms in plain complex
@@ -384,15 +422,45 @@ pub struct EvalReport {
     /// — `Some` when the kernels ran it (exact PRFω/PRFe on and/xor
     /// trees), `None` for closed-form and non-tree kernels.
     pub memory: Option<GfStats>,
-    /// Shared-walk cost attribution — `Some` when this query was answered
-    /// from a [`QueryBatch`]'s shared walk (its `kernel_seconds` is then
-    /// the amortized share), `None` for single queries and for batch
-    /// entries that were evaluated individually.
+    /// Walk cost attribution — `Some` exactly when the answer was read
+    /// off a shared walk ([`BatchRoute::Shared`]): a batch entry with the
+    /// walk's consumer count, a single query with `consumers = 1`. Its
+    /// `kernel_seconds` is then the amortized share. `None` for the
+    /// per-query evaluators (U-Top, U-Rank, E-Score, the DFT mixture) and
+    /// for log-domain rankings served ready-made by
+    /// [`ProbabilisticRelation::prfe_log_ranked`].
     pub batch: Option<BatchCost>,
     /// Serving-layer provenance — `Some` when this query was answered by a
     /// `prf-serve` `RankServer` flush (queue wait + flush trigger), `None`
     /// for queries run directly.
     pub serve: Option<ServeCost>,
+}
+
+impl EvalReport {
+    /// A report echoing `query`'s parameters for values evaluated by
+    /// `algorithm` on a `backend`; timings, memory and cost attribution
+    /// start empty for the caller to fill.
+    fn new(
+        query: &RankQuery,
+        algorithm: Algorithm,
+        backend: CorrelationClass,
+        values: &Values,
+    ) -> Self {
+        EvalReport {
+            semantics: query.semantics.name(),
+            backend,
+            algorithm,
+            auto_selected: matches!(query.algorithm, Algorithm::Auto),
+            numeric_mode: values.numeric_mode(),
+            kernel_seconds: 0.0,
+            total_seconds: 0.0,
+            truncated_to: None,
+            threads: None,
+            memory: None,
+            batch: None,
+            serve: None,
+        }
+    }
 }
 
 /// The answer of a [`RankQuery`]: per-tuple values, the induced ranking,
@@ -712,8 +780,9 @@ impl RankQuery {
         self
     }
 
-    /// Requests `threads` workers for parallel-capable kernels (currently
-    /// the general-tree PRFω expansion, via [`crate::parallel`]).
+    /// Requests `threads` workers for the query's walk (the sharded
+    /// general-tree walk, via [`crate::parallel`]; gated so small relations
+    /// stay serial).
     pub fn parallel(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -728,7 +797,7 @@ impl RankQuery {
     }
 
     /// Attaches a cooperative [`CancelToken`]: [`Self::run`] checks it up
-    /// front (and batch shared walks poll it mid-walk), returning
+    /// front and the query's walk polls it mid-walk, returning
     /// [`QueryError::TimedOut`] once it trips.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -738,6 +807,11 @@ impl RankQuery {
     /// The attached cancellation token, if any.
     pub fn cancel_token_ref(&self) -> Option<&CancelToken> {
         self.cancel.as_ref()
+    }
+
+    /// `true` once the attached cancellation token (if any) has tripped.
+    fn cancelled(&self) -> bool {
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
     /// The configured semantics.
@@ -824,256 +898,51 @@ impl RankQuery {
         }
     }
 
-    /// Runs the query against a backend.
+    /// Runs the query against a backend: compiles and executes a one-entry
+    /// [`QueryBatch`], so a single query reaches the same walk (and the
+    /// same kernels) as a batch entry. A log-domain PRFe query first asks
+    /// the backend for a ready-made ranking
+    /// ([`ProbabilisticRelation::prfe_log_ranked`] — a live relation's
+    /// merged-in-place key cache), which skips the walk and the sort.
     pub fn run(
         &self,
         rel: &(impl ProbabilisticRelation + ?Sized),
     ) -> Result<RankedResult, QueryError> {
         let total_start = Instant::now();
-        if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+        if self.cancelled() {
             return Err(QueryError::TimedOut);
         }
         let algorithm = self.resolve_algorithm(rel)?;
-        let auto_selected = matches!(self.algorithm, Algorithm::Auto);
-
         let mut kernel_seconds = 0.0;
-        let mut memory = None;
-        let (values, ranking, set) =
-            self.evaluate(rel, algorithm, &mut kernel_seconds, &mut memory)?;
-
-        let mut ranking = ranking;
-        if let Some(k) = self.top_k {
-            ranking.truncate(k);
-        }
-
-        let report = EvalReport {
-            semantics: self.semantics.name(),
-            backend: rel.correlation_class(),
-            algorithm,
-            auto_selected,
-            numeric_mode: values.numeric_mode(),
-            kernel_seconds,
-            total_seconds: total_start.elapsed().as_secs_f64(),
-            truncated_to: self.top_k,
-            threads: self.threads,
-            memory,
-            batch: None,
-            serve: None,
+        let ranked = match (&self.semantics, algorithm) {
+            (Semantics::Prfe(alpha), Algorithm::LogDomain) => {
+                timed(&mut kernel_seconds, || rel.prfe_log_ranked(alpha.re))
+            }
+            _ => None,
         };
-        Ok(RankedResult {
-            values,
-            ranking,
-            set,
-            report,
-        })
-    }
-
-    /// Evaluation proper: values + full ranking (+ set answer).
-    /// `kernel_seconds` accumulates time spent in the backend's evaluation
-    /// kernels only — ranking construction and bookkeeping are excluded;
-    /// `memory` receives the incremental evaluator's accounting when the
-    /// kernel ran it.
-    fn evaluate(
-        &self,
-        rel: &(impl ProbabilisticRelation + ?Sized),
-        algorithm: Algorithm,
-        kernel_seconds: &mut f64,
-        memory: &mut Option<GfStats>,
-    ) -> Result<(Values, Ranking, Option<TopSet>), QueryError> {
-        match &self.semantics {
-            Semantics::Prfe(alpha) => {
-                self.evaluate_prfe(rel, algorithm, *alpha, kernel_seconds, memory)
-            }
-            Semantics::Prf(_) | Semantics::Pt(_) | Semantics::Consensus(_) => {
-                let omega = self.semantics.weight().expect("weight-based semantics");
-                self.evaluate_weighted(rel, algorithm, &*omega, kernel_seconds, memory)
-            }
-            Semantics::EScore => {
-                // ω(t, i) = score(t) makes Υ = Pr(t)·score(t); evaluate the
-                // closed form directly rather than through the generating
-                // function (O(n) instead of O(n²), bit-identical keys).
-                let vals: Vec<Complex> = timed(kernel_seconds, || {
-                    rel.tuple_marginals()
-                        .iter()
-                        .zip(rel.tuple_scores())
-                        .map(|(&p, s)| Complex::real(p * s))
-                        .collect()
-                });
-                let ranking =
-                    Ranking::from_values(&vals, self.value_order.unwrap_or(ValueOrder::RealPart));
-                Ok((Values::Complex(vals), ranking, None))
-            }
-            Semantics::ERank => {
-                let er = timed(kernel_seconds, || rel.expected_ranks()).ok_or(
-                    QueryError::Unsupported {
-                        semantics: "E-Rank",
-                        backend: rel.correlation_class(),
-                    },
-                )?;
-                // Negated so that — like every other semantics — higher
-                // values rank better.
-                let vals: Vec<Complex> = er.iter().map(|&e| Complex::real(-e)).collect();
-                let keys: Vec<f64> = er.into_iter().map(|e| -e).collect();
-                Ok((Values::Complex(vals), Ranking::from_keys(&keys), None))
-            }
-            Semantics::URank(k) => {
-                let chosen =
-                    timed(kernel_seconds, || rel.positional_candidates(*k)).select_distinct();
-                let mut vals = vec![Complex::ZERO; rel.n_tuples()];
-                for &(p, t) in &chosen {
-                    vals[t.index()] = Complex::real(p);
+        let mut result = match ranked {
+            Some((keys, order)) => {
+                let ranked_keys = order.iter().map(|t| keys[t.index()]).collect();
+                let mut ranking = Ranking::from_order_and_keys(order, ranked_keys);
+                if let Some(k) = self.top_k {
+                    ranking.truncate(k);
                 }
-                let (keys, order): (Vec<f64>, Vec<TupleId>) = chosen.into_iter().unzip();
-                Ok((
-                    Values::Complex(vals),
-                    Ranking::from_order_and_keys(order, keys),
-                    None,
-                ))
-            }
-            Semantics::UTop(k) => {
-                let (members, log_prob) = timed(kernel_seconds, || rel.most_probable_topk(*k))?;
-                let scores = rel.tuple_scores();
-                let mut vals = vec![Complex::ZERO; rel.n_tuples()];
-                for &t in &members {
-                    vals[t.index()] = Complex::ONE;
-                }
-                let keys: Vec<f64> = members.iter().map(|t| scores[t.index()]).collect();
-                let ranking = Ranking::from_order_and_keys(members.clone(), keys);
-                Ok((
-                    Values::Complex(vals),
+                let values = Values::LogDomain(keys);
+                let mut report = EvalReport::new(self, algorithm, rel.correlation_class(), &values);
+                report.kernel_seconds = kernel_seconds;
+                report.truncated_to = self.top_k;
+                report.threads = self.threads;
+                RankedResult {
+                    values,
                     ranking,
-                    Some(TopSet { members, log_prob }),
-                ))
-            }
-        }
-    }
-
-    fn evaluate_prfe(
-        &self,
-        rel: &(impl ProbabilisticRelation + ?Sized),
-        algorithm: Algorithm,
-        alpha: Complex,
-        kernel_seconds: &mut f64,
-        memory: &mut Option<GfStats>,
-    ) -> Result<(Values, Ranking, Option<TopSet>), QueryError> {
-        match algorithm {
-            Algorithm::ExactGf => {
-                let (vals, stats) = timed(kernel_seconds, || rel.prfe_values_with_stats(alpha));
-                *memory = stats;
-                let ranking =
-                    Ranking::from_values(&vals, self.value_order.unwrap_or(ValueOrder::Magnitude));
-                Ok((Values::Complex(vals), ranking, None))
-            }
-            Algorithm::LogDomain => {
-                // A live backend may hold a merged-in-place ranking next to
-                // its key cache; taking it skips the O(n log n) sort below.
-                if let Some((keys, order)) = timed(kernel_seconds, || rel.prfe_log_ranked(alpha.re))
-                {
-                    let ranked_keys = order.iter().map(|t| keys[t.index()]).collect();
-                    let ranking = Ranking::from_order_and_keys(order, ranked_keys);
-                    return Ok((Values::LogDomain(keys), ranking, None));
+                    set: None,
+                    report,
                 }
-                let keys = timed(kernel_seconds, || rel.prfe_log_keys(alpha.re));
-                let ranking = Ranking::from_keys(&keys);
-                Ok((Values::LogDomain(keys), ranking, None))
             }
-            Algorithm::Scaled => {
-                let (vals, stats) =
-                    timed(kernel_seconds, || rel.prfe_values_scaled_with_stats(alpha));
-                *memory = stats;
-                let ranking = self.rank_scaled(&vals, ValueOrder::Magnitude);
-                Ok((Values::Scaled(vals), ranking, None))
-            }
-            Algorithm::Auto | Algorithm::DftApprox(_) => unreachable!("resolved before evaluate"),
-        }
-    }
-
-    fn evaluate_weighted(
-        &self,
-        rel: &(impl ProbabilisticRelation + ?Sized),
-        algorithm: Algorithm,
-        omega: &(dyn WeightFunction + Send + Sync),
-        kernel_seconds: &mut f64,
-        memory: &mut Option<GfStats>,
-    ) -> Result<(Values, Ranking, Option<TopSet>), QueryError> {
-        match algorithm {
-            Algorithm::ExactGf => {
-                let (vals, stats) = timed(kernel_seconds, || {
-                    rel.prf_values_with_stats(omega, self.threads)
-                });
-                *memory = stats;
-                let default_order = match self.semantics {
-                    // The classical real-valued semantics rank by the real
-                    // part (identical to |Υ| for their non-negative values,
-                    // and bitwise-stable for differential comparisons).
-                    Semantics::Pt(_) | Semantics::Consensus(_) => ValueOrder::RealPart,
-                    _ => ValueOrder::Magnitude,
-                };
-                let ranking =
-                    Ranking::from_values(&vals, self.value_order.unwrap_or(default_order));
-                Ok((Values::Complex(vals), ranking, None))
-            }
-            Algorithm::DftApprox(cfg) => {
-                let h = omega.truncation().expect("validated: truncated weight");
-                // The mixture can only represent *rank-only* weights. Probe
-                // ω with two distinct tuples and reject tuple-dependent
-                // weight functions instead of silently tabulating through
-                // one representative (which would zero out e.g. a
-                // score-proportional ω).
-                let probe_a = prf_pdb::Tuple {
-                    id: TupleId(0),
-                    score: 0.0,
-                    prob: 1.0,
-                };
-                let probe_b = prf_pdb::Tuple {
-                    id: TupleId(1),
-                    score: 1.0,
-                    prob: 0.5,
-                };
-                if (1..=h).any(|i| omega.weight(&probe_a, i) != omega.weight(&probe_b, i)) {
-                    return Err(QueryError::InvalidParameter(format!(
-                        "DftApprox requires a rank-only weight function; {} depends on the tuple",
-                        omega.name()
-                    )));
-                }
-                let vals = timed(kernel_seconds, || {
-                    let tab: Vec<f64> = tabulate(omega, h).iter().map(|w| w.re).collect();
-                    let mix = approximate_weights(&|i| tab.get(i).copied().unwrap_or(0.0), h, &cfg);
-                    rel.mixture_values(&mix)
-                });
-                let ranking = self.rank_scaled(&vals, ValueOrder::RealPart);
-                Ok((Values::Scaled(vals), ranking, None))
-            }
-            Algorithm::Auto | Algorithm::LogDomain | Algorithm::Scaled => {
-                unreachable!("resolved before evaluate")
-            }
-        }
-    }
-
-    fn rank_scaled(&self, vals: &[Scaled<Complex>], default_order: ValueOrder) -> Ranking {
-        self.rank_scaled_topk(vals, default_order, None)
-    }
-
-    /// [`RankQuery::rank_scaled`] with the batch engine's top-k pushdown:
-    /// `Some(k)` constructs only the best-`k` prefix via partial selection
-    /// (identical to the full ranking truncated to `k`).
-    fn rank_scaled_topk(
-        &self,
-        vals: &[Scaled<Complex>],
-        default_order: ValueOrder,
-        top_k: Option<usize>,
-    ) -> Ranking {
-        let k = top_k.unwrap_or(vals.len());
-        match self.value_order.unwrap_or(default_order) {
-            ValueOrder::Magnitude => {
-                let keys: Vec<f64> = vals.iter().map(|v| v.magnitude_key()).collect();
-                Ranking::from_keys_topk(&keys, k)
-            }
-            ValueOrder::RealPart => {
-                let keys: Vec<_> = vals.iter().map(|v| v.real_part_key()).collect();
-                Ranking::from_keys_by_topk(&keys, |k| k.display(), k)
-            }
-        }
+            None => QueryBatch::run_one(self, rel, algorithm)?,
+        };
+        result.report.total_seconds = total_start.elapsed().as_secs_f64();
+        Ok(result)
     }
 }
 
@@ -1358,19 +1227,23 @@ mod tests {
         assert!(r.ranking.is_empty());
     }
 
-    /// The α-aware exact ceiling: `min(4096, 620/−ln α)` for real
-    /// α ∈ (0, 1), the legacy 1024 otherwise — and `Auto` must route
-    /// accordingly on independent relations.
+    /// The α-aware exact ceiling: `min(4096, 620/−ln |α|)` for
+    /// 0 < |α| < 1 (real or complex), the cap at α = 0, the legacy 1024
+    /// for |α| ≥ 1 — and `Auto` must route accordingly on independent
+    /// relations.
     #[test]
     fn auto_prfe_threshold_is_alpha_aware() {
         assert_eq!(auto_prfe_exact_max(Complex::real(0.01)), 134);
         assert_eq!(auto_prfe_exact_max(Complex::real(0.1)), 269);
         assert_eq!(auto_prfe_exact_max(Complex::real(0.5)), 894);
-        // Near 1 the bound grows past the cap; past 1 or complex α fall
-        // back to the legacy ceiling.
+        // Near 1 the bound grows past the cap; |α| ≥ 1 falls back to the
+        // legacy ceiling; complex α is bounded by its magnitude.
         assert_eq!(auto_prfe_exact_max(Complex::real(0.9)), 4096);
         assert_eq!(auto_prfe_exact_max(Complex::real(1.5)), 1024);
-        assert_eq!(auto_prfe_exact_max(Complex::new(0.5, 0.1)), 1024);
+        assert_eq!(auto_prfe_exact_max(Complex::new(0.6, 0.8)), 1024);
+        assert_eq!(auto_prfe_exact_max(Complex::new(0.5, 0.1)), 920);
+        assert_eq!(auto_prfe_exact_max(Complex::new(0.01, 0.01)), 145);
+        assert_eq!(auto_prfe_exact_max(Complex::ZERO), 4096);
 
         // n = 500: plain complex is unsafe at α = 0.01 (divergence was
         // measured at n* = 847, the bound trips at 134) but fine at
@@ -1379,5 +1252,35 @@ mod tests {
         let resolve = |a: f64| RankQuery::prfe(a).resolve_algorithm(&db).unwrap();
         assert_eq!(resolve(0.01), Algorithm::LogDomain);
         assert_eq!(resolve(0.5), Algorithm::ExactGf);
+    }
+
+    /// Regression: `Auto` used to keep complex α on the plain-complex
+    /// route up to n = 1024 whatever |α| was. At α = 0.01+0.01i and
+    /// n = 1000 that underflowed 521 values to exactly zero and split the
+    /// ranking from the scaled one at rank 479. It must now pick `Scaled`
+    /// and rank exactly like an explicit `Algorithm::Scaled` query, in both
+    /// id-to-score orders.
+    #[test]
+    fn auto_routes_tiny_complex_alpha_away_from_underflow() {
+        let n = 1000;
+        let marginal = |i: usize| 0.5 + 0.5 * ((i * 7919) % 1000) as f64 / 1000.0;
+        let ascending = IndependentDb::from_pairs((0..n).map(|i| (i as f64, marginal(i)))).unwrap();
+        let descending =
+            IndependentDb::from_pairs((0..n).map(|i| ((n - i) as f64, marginal(i)))).unwrap();
+        let alpha = Complex::new(0.01, 0.01);
+        for (name, db) in [("ascending", &ascending), ("descending", &descending)] {
+            let auto = RankQuery::prfe_complex(alpha).run(db).unwrap();
+            assert_eq!(auto.report.algorithm, Algorithm::Scaled, "{name}");
+            let vals = auto.values.as_scaled().expect("scaled values");
+            assert!(
+                vals.iter().all(|v| v.magnitude_key() > f64::NEG_INFINITY),
+                "{name}: no value may underflow to zero"
+            );
+            let scaled = RankQuery::prfe_complex(alpha)
+                .algorithm(Algorithm::Scaled)
+                .run(db)
+                .unwrap();
+            assert_eq!(auto.ranking.order(), scaled.ranking.order(), "{name}");
+        }
     }
 }

@@ -10,7 +10,9 @@
 //! [`PreparedRelation`] fixes that: it wraps any
 //! [`ProbabilisticRelation`] together with the backend's reusable state
 //! (built once by [`ProbabilisticRelation::prepare`]) and implements the
-//! trait itself, threading the cached state into every walk. Callers —
+//! trait itself, threading the cached state into every
+//! [`ProbabilisticRelation::run_shared_walk`] — the one kernel entry, so
+//! single queries and batch entries alike reuse it. Callers —
 //! [`RankQuery::run`](super::RankQuery::run), [`QueryBatch`](super::QueryBatch),
 //! the `prf-serve` flush pool — need no new API: a `&PreparedRelation` is a
 //! relation, just one whose sorts and plans are already built.
@@ -22,16 +24,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
-use prf_numeric::{Complex, Scaled};
 use prf_pdb::TupleId;
 
-use super::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
+use super::batch::{SharedWalkOut, SharedWalkSpec};
 use super::kernels;
 use super::relation::{CorrelationClass, ProbabilisticRelation};
 use super::QueryError;
-use crate::incremental::GfStats;
 use crate::tree::TreePrepared;
-use crate::weights::WeightFunction;
 
 // ---------------------------------------------------------------------
 // PreparedState: the backend-built cache
@@ -42,10 +41,9 @@ use crate::weights::WeightFunction;
 /// marginals a backend's walk kernels would otherwise rebuild per call.
 ///
 /// The state is backend-private: callers hold it and hand it back through
-/// [`ProbabilisticRelation::run_shared_walk_prepared`] /
-/// [`ProbabilisticRelation::prf_values_prepared`], they never inspect it.
+/// [`ProbabilisticRelation::run_shared_walk`], they never inspect it.
 /// Backends receiving a foreign state (another backend's, or
-/// [`PreparedState::empty`]) must fall back to their unprepared paths.
+/// [`PreparedState::empty`]) build what their walk needs themselves.
 #[derive(Clone)]
 pub struct PreparedState {
     inner: Inner,
@@ -53,7 +51,7 @@ pub struct PreparedState {
 
 #[derive(Clone)]
 enum Inner {
-    /// No cacheable setup — every prepared hook falls back.
+    /// No cacheable setup — the walk builds what it needs.
     Empty,
     /// And/xor tree: score order + positions + marginals + compiled plan.
     Tree(TreePrepared),
@@ -67,9 +65,8 @@ enum Inner {
 }
 
 impl PreparedState {
-    /// The empty state: nothing cached, every prepared hook falls back to
-    /// its unprepared path. The default for backends without reusable
-    /// setup.
+    /// The empty state: nothing cached, so a walk handed it builds what it
+    /// needs. The default for backends without reusable setup.
     pub fn empty() -> Self {
         PreparedState {
             inner: Inner::Empty,
@@ -264,20 +261,6 @@ impl PreparedRelation {
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
-
-    /// Serves one request through the prepared shared walk, or `None` when
-    /// the backend has no shared kernel (the caller then falls back to the
-    /// backend's single kernel — correct, just unamortized).
-    fn one_request_walk(&self, req: SharedRequest) -> Option<(SharedAnswer, Option<GfStats>)> {
-        let spec = SharedWalkSpec {
-            requests: vec![req],
-            threads: None,
-            cancel: None,
-        };
-        let mut out: SharedWalkOut = self.rel.run_shared_walk_prepared(&spec, &self.snapshot())?;
-        debug_assert_eq!(out.answers.len(), 1);
-        Some((out.answers.pop()?, out.stats))
-    }
 }
 
 impl std::fmt::Debug for PreparedRelation {
@@ -307,120 +290,47 @@ impl ProbabilisticRelation for PreparedRelation {
         self.rel.correlation_class()
     }
 
-    fn prf_values(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> Vec<Complex> {
-        self.prf_values_with_stats(omega, threads).0
-    }
-
-    fn prf_values_with_stats(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        self.rel
-            .prf_values_prepared(omega, threads, &self.snapshot())
-    }
-
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-        self.prfe_values_with_stats(alpha).0
-    }
-
-    fn prfe_values_with_stats(&self, alpha: Complex) -> (Vec<Complex>, Option<GfStats>) {
-        match self.one_request_walk(SharedRequest::PrfeComplex(alpha)) {
-            Some((SharedAnswer::Complex(v), stats)) => (v, stats),
-            _ => self.rel.prfe_values_with_stats(alpha),
-        }
-    }
-
-    fn prfe_values_scaled(&self, alpha: Complex) -> Vec<Scaled<Complex>> {
-        self.prfe_values_scaled_with_stats(alpha).0
-    }
-
-    fn prfe_values_scaled_with_stats(
-        &self,
-        alpha: Complex,
-    ) -> (Vec<Scaled<Complex>>, Option<GfStats>) {
-        match self.one_request_walk(SharedRequest::PrfeScaled(alpha)) {
-            Some((SharedAnswer::Scaled(v), stats)) => (v, stats),
-            _ => self.rel.prfe_values_scaled_with_stats(alpha),
-        }
-    }
-
-    fn prfe_log_keys(&self, alpha: f64) -> Vec<f64> {
-        assert!(
-            (0.0..=1.0).contains(&alpha),
-            "log-domain PRFe requires α ∈ [0, 1], got {alpha}"
-        );
-        match self.one_request_walk(SharedRequest::PrfeLog(alpha)) {
-            Some((SharedAnswer::Log(v), _)) => v,
-            _ => self.rel.prfe_log_keys(alpha),
-        }
-    }
-
-    fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {
-        // The shared walk answers keys, never an order; the inner relation
-        // (a live cache, say) is the only party that can beat the sort.
-        self.rel.prfe_log_ranked(alpha)
-    }
-
-    fn expected_ranks(&self) -> Option<Vec<f64>> {
-        match self.one_request_walk(SharedRequest::ExpectedRanks) {
-            Some((SharedAnswer::Ranks(v), _)) => Some(v),
-            _ => self.rel.expected_ranks(),
-        }
-    }
-
-    fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
-        self.rel.most_probable_topk(k)
-    }
-
-    fn positional_candidates(&self, k: usize) -> kernels::PositionalCandidates {
-        self.rel.positional_candidates(k)
-    }
-
     fn generation(&self) -> u64 {
         self.rel.generation()
     }
 
-    fn run_shared_walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-        self.rel.run_shared_walk_prepared(spec, &self.snapshot())
+    fn prepare(&self) -> PreparedState {
+        // Already prepared; re-wrapping finds nothing new to cache (the
+        // walk below keeps routing through the existing state).
+        PreparedState::empty()
     }
 
-    fn run_shared_walk_prepared(
+    fn run_shared_walk(
         &self,
         spec: &SharedWalkSpec,
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
         // Our own state always wins: a foreign state cannot describe the
         // wrapped relation better than the one built from it.
-        self.rel.run_shared_walk_prepared(spec, &self.snapshot())
+        self.rel.run_shared_walk(spec, &self.snapshot())
     }
 
-    fn prepare(&self) -> PreparedState {
-        // Already prepared; re-wrapping finds nothing new to cache (the
-        // overrides above keep routing through the existing state).
-        PreparedState::empty()
+    fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {
+        // The walk answers keys, never an order; the inner relation (a live
+        // cache, say) is the only party that can beat the sort.
+        self.rel.prfe_log_ranked(alpha)
     }
 
-    fn prf_values_prepared(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        _threads: Option<usize>,
-        _prep: &PreparedState,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        self.rel
-            .prf_values_prepared(omega, _threads, &self.snapshot())
+    fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
+        self.rel.most_probable_topk(k)
+    }
+
+    fn positional_candidates(&self, k: usize) -> Option<kernels::PositionalCandidates> {
+        self.rel.positional_candidates(k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{QueryBatch, RankQuery, Semantics};
-    use crate::weights::StepWeight;
+    use crate::lock_recover;
+    use crate::query::{Algorithm, QueryBatch, RankQuery, Semantics};
+    use prf_numeric::Complex;
     use prf_pdb::{AndXorTree, IndependentDb};
 
     fn assert_complex_eq(a: &[Complex], b: &[Complex], ctx: &str) {
@@ -428,6 +338,12 @@ mod tests {
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert!(x.approx_eq(*y, 1e-12), "{ctx}: tuple {i}: {x} vs {y}");
         }
+    }
+
+    /// The exact plain-complex values of `query` against `rel`.
+    fn values(query: RankQuery, rel: &(impl ProbabilisticRelation + ?Sized)) -> Vec<Complex> {
+        let r = query.algorithm(Algorithm::ExactGf).run(rel).unwrap();
+        r.values.as_complex().unwrap().to_vec()
     }
 
     #[test]
@@ -454,16 +370,17 @@ mod tests {
         ])
         .unwrap();
         let prepared = PreparedRelation::from_relation(db.clone());
-        let w = StepWeight { h: 3 };
-        assert_complex_eq(
-            &prepared.prf_values(&w, None),
-            &db.prf_values(&w, None),
-            "prf",
+        let pt = || RankQuery::pt(3);
+        assert_complex_eq(&values(pt(), &prepared), &values(pt(), &db), "prf");
+        let prfe = || RankQuery::prfe(0.9);
+        assert_complex_eq(&values(prfe(), &prepared), &values(prfe(), &db), "prfe");
+        let log = || RankQuery::prfe(0.9).algorithm(Algorithm::LogDomain);
+        assert_eq!(
+            log().run(&prepared).unwrap().values.as_log(),
+            log().run(&db).unwrap().values.as_log()
         );
-        let alpha = Complex::real(0.9);
-        assert_complex_eq(&prepared.prfe_values(alpha), &db.prfe_values(alpha), "prfe");
-        assert_eq!(prepared.prfe_log_keys(0.9), db.prfe_log_keys(0.9));
-        assert_eq!(prepared.expected_ranks(), db.expected_ranks());
+        let erank = || RankQuery::erank();
+        assert_eq!(values(erank(), &prepared), values(erank(), &db));
     }
 
     #[test]
@@ -477,10 +394,9 @@ mod tests {
         let prepared = PreparedRelation::from_relation(tree.clone());
         // Reuse the same prepared state across several queries and a batch.
         for h in [1usize, 2, 5] {
-            let w = StepWeight { h };
             assert_complex_eq(
-                &prepared.prf_values(&w, None),
-                &ProbabilisticRelation::prf_values(&tree, &w, None),
+                &values(RankQuery::pt(h), &prepared),
+                &values(RankQuery::pt(h), &tree),
                 &format!("prf h={h}"),
             );
         }
@@ -518,56 +434,35 @@ mod tests {
         }
         impl Versioned {
             fn swap(&self, db: IndependentDb) {
-                *self.db.lock().unwrap() = db;
+                *lock_recover(&self.db) = db;
                 self.generation.fetch_add(1, Ordering::Release);
             }
         }
         impl ProbabilisticRelation for Versioned {
             fn n_tuples(&self) -> usize {
-                self.db.lock().unwrap().len()
+                lock_recover(&self.db).len()
             }
             fn tuple_scores(&self) -> Vec<f64> {
-                self.db.lock().unwrap().scores()
+                lock_recover(&self.db).scores()
             }
             fn tuple_marginals(&self) -> Vec<f64> {
-                self.db.lock().unwrap().probabilities()
+                lock_recover(&self.db).probabilities()
             }
             fn correlation_class(&self) -> CorrelationClass {
                 CorrelationClass::Independent
-            }
-            fn prf_values(
-                &self,
-                omega: &(dyn crate::weights::WeightFunction + Sync),
-                threads: Option<usize>,
-            ) -> Vec<Complex> {
-                self.db.lock().unwrap().prf_values(omega, threads)
-            }
-            fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-                self.db.lock().unwrap().prfe_values(alpha)
             }
             fn generation(&self) -> u64 {
                 self.generation.load(Ordering::Acquire)
             }
             fn prepare(&self) -> PreparedState {
-                ProbabilisticRelation::prepare(&*self.db.lock().unwrap())
+                ProbabilisticRelation::prepare(&*lock_recover(&self.db))
             }
-            fn run_shared_walk_prepared(
+            fn run_shared_walk(
                 &self,
                 spec: &SharedWalkSpec,
                 prep: &PreparedState,
             ) -> Option<SharedWalkOut> {
-                self.db.lock().unwrap().run_shared_walk_prepared(spec, prep)
-            }
-            fn prf_values_prepared(
-                &self,
-                omega: &(dyn crate::weights::WeightFunction + Sync),
-                threads: Option<usize>,
-                prep: &PreparedState,
-            ) -> (Vec<Complex>, Option<GfStats>) {
-                self.db
-                    .lock()
-                    .unwrap()
-                    .prf_values_prepared(omega, threads, prep)
+                lock_recover(&self.db).run_shared_walk(spec, prep)
             }
         }
 
@@ -580,16 +475,13 @@ mod tests {
             generation: AtomicU64::new(0),
         });
         let prepared = PreparedRelation::new(rel.clone());
-        let w = StepWeight { h: 1 };
-        assert_complex_eq(
-            &prepared.prf_values(&w, None),
-            &rel.db.lock().unwrap().prf_values(&w, None),
-            "v1",
-        );
+        let pt1 = || RankQuery::pt(1);
+        let direct = values(pt1(), &*lock_recover(&rel.db));
+        assert_complex_eq(&values(pt1(), &prepared), &direct, "v1");
         rel.swap(v2);
         // The wrapper must rebuild its state and agree with a direct query.
-        let direct = rel.db.lock().unwrap().prf_values(&w, None);
-        assert_complex_eq(&prepared.prf_values(&w, None), &direct, "v2");
+        let direct = values(pt1(), &*lock_recover(&rel.db));
+        assert_complex_eq(&values(pt1(), &prepared), &direct, "v2");
         assert_eq!(ProbabilisticRelation::generation(&prepared), 1);
     }
 
@@ -615,60 +507,39 @@ mod tests {
         }
         impl RacingPrepare {
             fn swap(&self, db: IndependentDb) {
-                *self.db.lock().unwrap() = db;
+                *lock_recover(&self.db) = db;
                 self.generation.fetch_add(1, Ordering::Release);
             }
         }
         impl ProbabilisticRelation for RacingPrepare {
             fn n_tuples(&self) -> usize {
-                self.db.lock().unwrap().len()
+                lock_recover(&self.db).len()
             }
             fn tuple_scores(&self) -> Vec<f64> {
-                self.db.lock().unwrap().scores()
+                lock_recover(&self.db).scores()
             }
             fn tuple_marginals(&self) -> Vec<f64> {
-                self.db.lock().unwrap().probabilities()
+                lock_recover(&self.db).probabilities()
             }
             fn correlation_class(&self) -> CorrelationClass {
                 CorrelationClass::Independent
-            }
-            fn prf_values(
-                &self,
-                omega: &(dyn crate::weights::WeightFunction + Sync),
-                threads: Option<usize>,
-            ) -> Vec<Complex> {
-                self.db.lock().unwrap().prf_values(omega, threads)
-            }
-            fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-                self.db.lock().unwrap().prfe_values(alpha)
             }
             fn generation(&self) -> u64 {
                 self.generation.load(Ordering::Acquire)
             }
             fn prepare(&self) -> PreparedState {
-                let state = ProbabilisticRelation::prepare(&*self.db.lock().unwrap());
-                if let Some(next) = self.swap_mid_prepare.lock().unwrap().pop() {
+                let state = ProbabilisticRelation::prepare(&*lock_recover(&self.db));
+                if let Some(next) = lock_recover(&self.swap_mid_prepare).pop() {
                     self.swap(next);
                 }
                 state // describes the pre-swap relation
             }
-            fn run_shared_walk_prepared(
+            fn run_shared_walk(
                 &self,
                 spec: &SharedWalkSpec,
                 prep: &PreparedState,
             ) -> Option<SharedWalkOut> {
-                self.db.lock().unwrap().run_shared_walk_prepared(spec, prep)
-            }
-            fn prf_values_prepared(
-                &self,
-                omega: &(dyn crate::weights::WeightFunction + Sync),
-                threads: Option<usize>,
-                prep: &PreparedState,
-            ) -> (Vec<Complex>, Option<GfStats>) {
-                self.db
-                    .lock()
-                    .unwrap()
-                    .prf_values_prepared(omega, threads, prep)
+                lock_recover(&self.db).run_shared_walk(spec, prep)
             }
         }
 
@@ -683,13 +554,13 @@ mod tests {
             swap_mid_prepare: Mutex::new(vec![]),
         });
         let prepared = PreparedRelation::new(rel.clone());
-        let w = StepWeight { h: 1 };
+        let pt1 = || RankQuery::pt(1);
 
         // Mutation 1 applies normally; mutation 2 is armed to land in the
         // middle of the refresh that mutation 1 triggers.
         rel.swap(v2);
-        rel.swap_mid_prepare.lock().unwrap().push(v3);
-        let mid_race = prepared.prf_values(&w, None);
+        lock_recover(&rel.swap_mid_prepare).push(v3);
+        let mid_race = values(pt1(), &prepared);
         assert_eq!(
             ProbabilisticRelation::generation(&prepared),
             2,
@@ -700,9 +571,9 @@ mod tests {
         // test is what happens *next*: the state must not be labeled with
         // the post-race generation.
         drop(mid_race);
-        let direct = rel.db.lock().unwrap().prf_values(&w, None);
+        let direct = values(pt1(), &*lock_recover(&rel.db));
         assert_complex_eq(
-            &prepared.prf_values(&w, None),
+            &values(pt1(), &prepared),
             &direct,
             "query after the race must re-prepare, not serve the stale v2 order",
         );

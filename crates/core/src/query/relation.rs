@@ -1,20 +1,21 @@
 //! The backend abstraction of the unified query engine.
 //!
 //! A [`ProbabilisticRelation`] is anything the engine can rank: it exposes
-//! the scored-tuple view plus the evaluation primitives each numeric mode
-//! needs. `prf-core` implements it for [`IndependentDb`] and [`AndXorTree`];
-//! `prf-graphical` implements it for junction-tree-correlated relations via
-//! its `NetworkRelation` ranking adapter.
+//! the scored-tuple view plus one shared-walk entry that serves every
+//! PRF-family request. `prf-core` implements it for [`IndependentDb`] and
+//! [`AndXorTree`]; `prf-graphical` implements it for
+//! junction-tree-correlated relations via its `NetworkRelation` ranking
+//! adapter.
+
+use std::sync::Arc;
 
 use prf_numeric::{Complex, GfValue, Scaled};
 use prf_pdb::{AndXorTree, IndependentDb, TupleId};
 
-use super::batch::{SharedWalkOut, SharedWalkSpec};
+use super::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
 use super::kernels;
-use super::QueryError;
-use crate::incremental::GfStats;
-use crate::mixture::ExpMixture;
-use crate::weights::{PositionWeight, WeightFunction};
+use super::{PreparedState, QueryError};
+use crate::weights::PositionWeight;
 
 /// How the tuples of a relation may be correlated — drives the `Auto`
 /// algorithm heuristic and is echoed in the evaluation report.
@@ -47,13 +48,35 @@ impl std::fmt::Display for CorrelationClass {
 /// backends; beyond it the query reports `Unsupported`.
 const UTOP_WORLD_LIMIT: usize = 1 << 20;
 
+/// Answer values one walk of the default
+/// [`ProbabilisticRelation::positional_candidates`] may buffer (64 MiB of
+/// complex values): positions are requested `max(1, this / n)` at a time.
+const POSITIONAL_WALK_VALUES: usize = 1 << 22;
+
 /// A probabilistic relation the [`super::RankQuery`] engine can evaluate.
 ///
-/// Required methods cover the PRF family (every semantics of
-/// [`super::Semantics`] reduces to them or to the optional hooks); the
-/// provided defaults implement the remaining numeric modes and semantics in
-/// terms of the required ones, so a minimal backend (like `prf-graphical`'s
-/// adapter) only supplies exact PRFω/PRFe evaluation.
+/// The trait has four groups of methods:
+///
+/// * **shape** — [`Self::n_tuples`], [`Self::tuple_scores`],
+///   [`Self::tuple_marginals`], [`Self::correlation_class`] and
+///   [`Self::generation`];
+/// * **the walk** — [`Self::prepare`] builds reusable state once, and
+///   [`Self::run_shared_walk`] is the **one** kernel entry for the whole
+///   PRF family: PRFω, PT, Consensus, PRFe in every numeric mode and E-Rank
+///   all reach a kernel only through it, as [`SharedRequest`]s of one
+///   score-order walk (a single query is a walk with one request);
+/// * **set and position semantics** — [`Self::most_probable_topk`]
+///   (U-Top) and [`Self::positional_candidates`] (U-Rank), plus the
+///   [`Self::prfe_log_ranked`] shortcut a live relation's key cache
+///   serves;
+/// * **the shard monoid** — [`Self::presence_gf_coeffs`] and
+///   [`Self::presence_gf_point`], which
+///   [`crate::shard::ShardedRelation`] composes.
+///
+/// A minimal backend (like `prf-graphical`'s adapter) implements the shape
+/// methods and the walk; every other method has a working default.
+///
+/// [`SharedRequest`]: super::batch::SharedRequest
 pub trait ProbabilisticRelation {
     /// Number of tuples.
     fn n_tuples(&self) -> usize;
@@ -67,78 +90,46 @@ pub trait ProbabilisticRelation {
     /// The correlation structure of this backend.
     fn correlation_class(&self) -> CorrelationClass;
 
-    /// Exact PRF values `Υ_ω(t)` for every tuple (indexed by tuple id).
-    /// `threads` requests data-parallel evaluation where the backend
-    /// supports it (currently the general-tree expansion); backends are free
-    /// to ignore it.
-    fn prf_values(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> Vec<Complex>;
-
-    /// Exact PRFe(α) values in plain complex arithmetic.
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex>;
-
-    /// [`Self::prf_values`] plus the evaluator's memory accounting, for
-    /// backends whose kernels run the incremental generating-function
-    /// engine (and/xor trees). The default reports no accounting.
-    fn prf_values_with_stats(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        (self.prf_values(omega, threads), None)
+    /// A monotone counter identifying the current *version* of the
+    /// relation's data. Immutable backends return `0` forever (the
+    /// default); mutable wrappers like [`crate::live::LiveRelation`] bump
+    /// it on every applied [`crate::live::Mutation`]. A
+    /// [`super::PreparedRelation`] compares this against the generation its
+    /// cached state was built from and re-prepares on mismatch instead of
+    /// silently serving a stale sort/plan/marginal cache.
+    fn generation(&self) -> u64 {
+        0
     }
 
-    /// [`Self::prfe_values`] plus the evaluator's memory accounting (see
-    /// [`Self::prf_values_with_stats`]).
-    fn prfe_values_with_stats(&self, alpha: Complex) -> (Vec<Complex>, Option<GfStats>) {
-        (self.prfe_values(alpha), None)
+    /// Builds the backend's reusable evaluation state — the score sort,
+    /// compiled [`crate::incremental::EvalPlan`], and whatever else the
+    /// backend's walk rebuilds per call. A [`super::PreparedRelation`]
+    /// calls this **once** at registration and threads the result through
+    /// every later [`Self::run_shared_walk`]. The default is the empty
+    /// state: backends without cacheable preparation stay correct.
+    fn prepare(&self) -> PreparedState {
+        PreparedState::empty()
     }
 
-    /// [`Self::prfe_values_scaled`] plus the evaluator's memory accounting
-    /// (see [`Self::prf_values_with_stats`]).
-    fn prfe_values_scaled_with_stats(
-        &self,
-        alpha: Complex,
-    ) -> (Vec<Scaled<Complex>>, Option<GfStats>) {
-        (self.prfe_values_scaled(alpha), None)
-    }
+    /// Serves every request of `spec` from **one** score-order walk — one
+    /// sort, one compiled evaluation plan, one leaf-relabeling pass with a
+    /// shared truncated-polynomial evaluator plus one scalar evaluator per
+    /// PRFe/E-Rank request — and returns the answers in request order.
+    ///
+    /// `prep` is state built by [`Self::prepare`]; an empty (or foreign)
+    /// state means "build what you need". Returns `None` when the spec's
+    /// cancellation token trips mid-walk, or when the backend has no
+    /// kernel for one of the requests (the engine then retries each
+    /// request alone, so the others still succeed).
+    fn run_shared_walk(&self, spec: &SharedWalkSpec, prep: &PreparedState)
+        -> Option<SharedWalkOut>;
 
-    /// PRFe(α) in scaled arithmetic (immune to underflow at any scale).
-    /// The default wraps the plain values and therefore inherits their
-    /// underflow — backends whose plain kernels underflow at scale must
-    /// override. (`Algorithm::Auto` only selects `Scaled` for the
-    /// Independent/XTuple/Tree classes, whose built-in backends override
-    /// with genuinely scaled kernels; explicit `Scaled` on a minimal
-    /// backend gives plain-complex precision.)
-    fn prfe_values_scaled(&self, alpha: Complex) -> Vec<Scaled<Complex>> {
-        self.prfe_values(alpha)
-            .into_iter()
-            .map(Scaled::new)
-            .collect()
-    }
-
-    /// Log-domain PRFe ranking keys (`ln Υ`) for real `α ∈ [0, 1]`; `-∞`
-    /// for tuples with `Υ = 0`. The default derives them from the scaled
-    /// values' log₂ magnitudes.
-    fn prfe_log_keys(&self, alpha: f64) -> Vec<f64> {
-        assert!(
-            (0.0..=1.0).contains(&alpha),
-            "log-domain PRFe requires α ∈ [0, 1], got {alpha}"
-        );
-        self.prfe_values_scaled(Complex::real(alpha))
-            .iter()
-            .map(|v| v.magnitude_key() * std::f64::consts::LN_2)
-            .collect()
-    }
-
-    /// [`Self::prfe_log_keys`] together with the tuple order they induce
-    /// (best first, ties by tuple id — the exact order
+    /// Log-domain PRFe keys (`ln Υ`, `-∞` where `Υ = 0`, real
+    /// `α ∈ [0, 1]`) together with the tuple order they induce (best first,
+    /// ties by tuple id — the exact order
     /// [`crate::topk::Ranking::from_keys`] produces), when the backend can
-    /// deliver that order cheaper than the engine's own sort. `None` (the
-    /// default) sends the engine down the ordinary keys-then-sort path.
+    /// deliver that order cheaper than a walk plus the engine's own sort.
+    /// `None` (the default) sends the query down the walk.
     ///
     /// [`crate::live::LiveRelation`] overrides this: after a reweight it
     /// re-ranks by an O(n) three-way merge (the mutation shifts every
@@ -147,28 +138,6 @@ pub trait ProbabilisticRelation {
     /// requery-after-mutation asymptotically cheaper than rebuilding.
     fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {
         let _ = alpha;
-        None
-    }
-
-    /// Scaled Υ values of a PRFe mixture: `Υ(t) = Σ_l u_l·Υ_{PRFe(α_l)}(t)`.
-    /// Backends get this for free on top of [`Self::prfe_values_scaled`]
-    /// (it is the same accumulation `ExpMixture::upsilons_*` performs, so
-    /// no override is needed).
-    fn mixture_values(&self, mix: &ExpMixture) -> Vec<Scaled<Complex>> {
-        let mut acc = vec![Scaled::<Complex>::zero(); self.n_tuples()];
-        for &(u, alpha) in &mix.terms {
-            let us = Scaled::new(u);
-            let vals = self.prfe_values_scaled(alpha);
-            for (a, v) in acc.iter_mut().zip(vals) {
-                *a = a.add(&v.mul(&us));
-            }
-        }
-        acc
-    }
-
-    /// Expected ranks (lower is better), or `None` when the backend has no
-    /// exact expected-rank algorithm.
-    fn expected_ranks(&self) -> Option<Vec<f64>> {
         None
     }
 
@@ -184,67 +153,16 @@ pub trait ProbabilisticRelation {
         })
     }
 
-    /// A monotone counter identifying the current *version* of the
-    /// relation's data. Immutable backends return `0` forever (the
-    /// default); mutable wrappers like [`crate::live::LiveRelation`] bump
-    /// it on every applied [`crate::live::Mutation`]. A
-    /// [`super::PreparedRelation`] compares this against the generation its
-    /// cached state was built from and re-prepares on mismatch instead of
-    /// silently serving a stale sort/plan/marginal cache.
-    fn generation(&self) -> u64 {
-        0
-    }
-
-    /// Serves every request of a [`super::QueryBatch`] from **one** shared
-    /// score-order walk — one sort, one compiled evaluation plan, one
-    /// leaf-relabeling pass with a shared truncated-polynomial evaluator
-    /// plus one scalar evaluator per PRFe/E-Rank request. Returning `None`
-    /// (the default) tells the batch engine this backend has no shared
-    /// kernel; every entry is then evaluated as an individual query, so
-    /// minimal backends stay correct without overriding.
-    fn run_shared_walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-        let _ = spec;
-        None
-    }
-
-    /// Builds the backend's reusable evaluation state — the score sort,
-    /// compiled [`crate::incremental::EvalPlan`], and whatever else the
-    /// backend's walk kernels rebuild per call. A
-    /// [`super::PreparedRelation`] calls this **once** at registration and
-    /// threads the result through every later walk via
-    /// [`Self::run_shared_walk_prepared`] / [`Self::prf_values_prepared`].
-    /// The default is the empty state: backends without cacheable
-    /// preparation stay correct (the prepared hooks fall back to the
-    /// unprepared paths).
-    fn prepare(&self) -> super::PreparedState {
-        super::PreparedState::empty()
-    }
-
-    /// [`Self::run_shared_walk`] against state built by [`Self::prepare`].
-    /// The default ignores the state and runs the unprepared walk, so
-    /// backends that don't cache anything need no override; backends that
-    /// do must also handle foreign state (another backend's, or empty) by
-    /// falling back.
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        prep: &super::PreparedState,
-    ) -> Option<SharedWalkOut> {
-        let _ = prep;
-        self.run_shared_walk(spec)
-    }
-
-    /// [`Self::prf_values_with_stats`] against state built by
-    /// [`Self::prepare`] (same contract as
-    /// [`Self::run_shared_walk_prepared`]).
-    fn prf_values_prepared(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-        prep: &super::PreparedState,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        let _ = prep;
-        self.prf_values_with_stats(omega, threads)
+    /// Bounded per-position candidate lists `Pr(r(t) = j)` for `j ≤ k` —
+    /// the substrate of U-Rank. The default reads them off shared walks
+    /// with one position-indicator weight request `ω(i) = δ(i = j)` per
+    /// position (the paper's reduction), as many positions per walk as a
+    /// 64 MiB answer budget allows — one walk for small relations, O(n)
+    /// answer memory for large ones. Backends override with
+    /// single-pass kernels. `None` when the backend declines a walk.
+    fn positional_candidates(&self, k: usize) -> Option<kernels::PositionalCandidates> {
+        let per_walk = (POSITIONAL_WALK_VALUES / self.n_tuples().max(1)).max(1);
+        positional_table(self, k, per_walk)
     }
 
     /// Coefficients of the presence-count generating function
@@ -269,21 +187,34 @@ pub trait ProbabilisticRelation {
         let _ = alpha;
         None
     }
+}
 
-    /// Bounded per-position candidate lists `Pr(r(t) = j)` for `j ≤ k` —
-    /// the substrate of U-Rank. The default runs `k` PRF passes with the
-    /// position-indicator weight `ω(i) = δ(i = j)` (the paper's reduction);
-    /// backends override with single-pass kernels.
-    fn positional_candidates(&self, k: usize) -> kernels::PositionalCandidates {
-        let mut table = kernels::PositionalCandidates::new(k);
-        for j in 1..=k {
-            let vals = self.prf_values(&PositionWeight { j }, None);
+/// The default U-Rank candidate table, read off walks of `per_walk`
+/// position-indicator requests each.
+fn positional_table(
+    rel: &(impl ProbabilisticRelation + ?Sized),
+    k: usize,
+    per_walk: usize,
+) -> Option<kernels::PositionalCandidates> {
+    let mut table = kernels::PositionalCandidates::new(k);
+    for first in (1..=k).step_by(per_walk) {
+        let last = (first + per_walk - 1).min(k);
+        let spec = SharedWalkSpec::serial(
+            (first..=last)
+                .map(|j| SharedRequest::Weight(Arc::new(PositionWeight { j })))
+                .collect(),
+        );
+        let out = rel.run_shared_walk(&spec, &PreparedState::empty())?;
+        for (j, answer) in (first..=last).zip(&out.answers) {
+            let SharedAnswer::Complex(vals) = answer else {
+                unreachable!("weight request, complex answer")
+            };
             for (t, v) in vals.iter().enumerate() {
                 table.push(j - 1, v.re, TupleId(t as u32));
             }
         }
-        table
     }
+    Some(table)
 }
 
 impl ProbabilisticRelation for IndependentDb {
@@ -303,57 +234,29 @@ impl ProbabilisticRelation for IndependentDb {
         CorrelationClass::Independent
     }
 
-    fn prf_values(
+    fn prepare(&self) -> PreparedState {
+        PreparedState::independent(self.ids_by_score_desc())
+    }
+
+    fn run_shared_walk(
         &self,
-        omega: &(dyn WeightFunction + Sync),
-        _threads: Option<usize>,
-    ) -> Vec<Complex> {
-        crate::independent::prf_rank(self, omega)
-    }
-
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-        crate::independent::prfe_rank(self, alpha)
-    }
-
-    fn prfe_values_scaled(&self, alpha: Complex) -> Vec<Scaled<Complex>> {
-        crate::independent::prfe_rank_scaled(self, alpha)
-    }
-
-    fn prfe_log_keys(&self, alpha: f64) -> Vec<f64> {
-        crate::independent::prfe_rank_log(self, alpha)
-    }
-
-    fn expected_ranks(&self) -> Option<Vec<f64>> {
-        Some(kernels::expected_ranks_independent(self))
+        spec: &SharedWalkSpec,
+        prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        match prep.independent_order() {
+            Some(order) if order.len() == self.len() => {
+                crate::independent::batch_walk_independent(self, spec, order)
+            }
+            _ => crate::independent::batch_walk_independent(self, spec, &self.ids_by_score_desc()),
+        }
     }
 
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
         kernels::most_probable_topk_independent(self, k).ok_or(QueryError::NoSetAnswer)
     }
 
-    fn positional_candidates(&self, k: usize) -> kernels::PositionalCandidates {
-        kernels::positional_candidates_independent(self, k)
-    }
-
-    fn run_shared_walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-        crate::independent::batch_walk_independent(self, spec)
-    }
-
-    fn prepare(&self) -> super::PreparedState {
-        super::PreparedState::independent(self.ids_by_score_desc())
-    }
-
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        prep: &super::PreparedState,
-    ) -> Option<SharedWalkOut> {
-        match prep.independent_order() {
-            Some(order) if order.len() == self.len() => {
-                crate::independent::batch_walk_independent_prepared(self, spec, order)
-            }
-            _ => self.run_shared_walk(spec),
-        }
+    fn positional_candidates(&self, k: usize) -> Option<kernels::PositionalCandidates> {
+        Some(kernels::positional_candidates_independent(self, k))
     }
 
     fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
@@ -370,24 +273,6 @@ impl ProbabilisticRelation for IndependentDb {
             g = g.mul(&Scaled::new(Complex::real(1.0 - p) + alpha * p));
         }
         Some(g)
-    }
-
-    fn prf_values_prepared(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-        prep: &super::PreparedState,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        match prep.independent_order() {
-            Some(order) if order.len() == self.len() => {
-                let h = omega.truncation().unwrap_or(self.len());
-                (
-                    crate::independent::prf_rank_truncated_prepared(self, omega, h, order),
-                    None,
-                )
-            }
-            _ => self.prf_values_with_stats(omega, threads),
-        }
     }
 }
 
@@ -412,64 +297,19 @@ impl ProbabilisticRelation for AndXorTree {
         }
     }
 
-    fn prf_values(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> Vec<Complex> {
-        self.prf_values_with_stats(omega, threads).0
-    }
-
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-        crate::tree::prfe_rank_tree(self, alpha)
-    }
-
-    fn prf_values_with_stats(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        // Priority: the O(n·h·log n) x-tuple fast path (when truncated and
-        // applicable), then the requested parallel walk (gated — sharding
-        // below `PARALLEL_MIN_SHARD_TUPLES` per shard loses to serial, so
-        // small relations degrade to the serial route), then the serial
-        // incremental walk.
-        if omega.truncation().is_some() {
-            if let Some(v) = crate::xtuple::prf_omega_rank_xtuple(self, omega) {
-                return (v, None);
-            }
+    fn prepare(&self) -> PreparedState {
+        if AndXorTree::n_tuples(self) == 0 {
+            return PreparedState::empty();
         }
-        match crate::parallel::effective_walk_threads(AndXorTree::n_tuples(self), threads) {
-            t if t > 1 => {
-                let (v, s) = crate::parallel::prf_rank_tree_parallel_stats(self, omega, t);
-                (v, Some(s))
-            }
-            _ => {
-                let (v, s) = crate::tree::prf_rank_tree_stats(self, omega);
-                (v, Some(s))
-            }
-        }
+        PreparedState::tree(crate::tree::TreePrepared::new(self))
     }
 
-    fn prfe_values_with_stats(&self, alpha: Complex) -> (Vec<Complex>, Option<GfStats>) {
-        let (v, s) = crate::tree::prfe_rank_tree_stats(self, alpha);
-        (v, Some(s))
-    }
-
-    fn prfe_values_scaled(&self, alpha: Complex) -> Vec<Scaled<Complex>> {
-        crate::tree::prfe_rank_tree_scaled(self, alpha)
-    }
-
-    fn prfe_values_scaled_with_stats(
+    fn run_shared_walk(
         &self,
-        alpha: Complex,
-    ) -> (Vec<Scaled<Complex>>, Option<GfStats>) {
-        let (v, s) = crate::tree::prfe_rank_tree_scaled_stats(self, alpha);
-        (v, Some(s))
-    }
-
-    fn expected_ranks(&self) -> Option<Vec<f64>> {
-        Some(crate::tree::expected_ranks_tree(self))
+        spec: &SharedWalkSpec,
+        prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        crate::tree::walk_tree(self, spec, prep)
     }
 
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
@@ -486,49 +326,6 @@ impl ProbabilisticRelation for AndXorTree {
             .ok_or(QueryError::NoSetAnswer)
     }
 
-    fn positional_candidates(&self, k: usize) -> kernels::PositionalCandidates {
-        kernels::positional_candidates_tree(self, k)
-    }
-
-    fn run_shared_walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-        // Sharding is *gated*, not merely clamped: setup pays one shared
-        // prefix sweep plus a snapshot clone per worker, so below
-        // `PARALLEL_MIN_SHARD_TUPLES` tuples per shard the parallel walk
-        // loses to serial outright and the request degrades to the serial
-        // route (identical answers, strictly less work).
-        let n = AndXorTree::n_tuples(self);
-        match crate::parallel::effective_walk_threads(n, spec.threads) {
-            t if t > 1 => crate::parallel::batch_walk_tree_parallel(self, spec, t),
-            _ => crate::tree::batch_walk_tree(self, spec),
-        }
-    }
-
-    fn prepare(&self) -> super::PreparedState {
-        if AndXorTree::n_tuples(self) == 0 {
-            return super::PreparedState::empty();
-        }
-        super::PreparedState::tree(crate::tree::TreePrepared::new(self))
-    }
-
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        prep: &super::PreparedState,
-    ) -> Option<SharedWalkOut> {
-        let n = AndXorTree::n_tuples(self);
-        match prep.tree_prepared() {
-            Some(tp) if tp.order.len() == n && n > 0 => {
-                match crate::parallel::effective_walk_threads(n, spec.threads) {
-                    t if t > 1 => {
-                        crate::parallel::batch_walk_tree_parallel_prepared(self, spec, t, tp)
-                    }
-                    _ => crate::tree::batch_walk_tree_prepared(self, spec, tp),
-                }
-            }
-            _ => self.run_shared_walk(spec),
-        }
-    }
-
     fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
         if AndXorTree::n_tuples(self) == 0 {
             return Some(vec![1.0]);
@@ -542,39 +339,6 @@ impl ProbabilisticRelation for AndXorTree {
             return Some(Scaled::one());
         }
         Some(self.generating_function(|_| Scaled::new(alpha)))
-    }
-
-    fn prf_values_prepared(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-        prep: &super::PreparedState,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        let n = AndXorTree::n_tuples(self);
-        // Same priority order as the unprepared path: the x-tuple fast
-        // path needs no plan, so preparation doesn't change its route.
-        if omega.truncation().is_some() {
-            if let Some(v) = crate::xtuple::prf_omega_rank_xtuple(self, omega) {
-                return (v, None);
-            }
-        }
-        match prep.tree_prepared() {
-            Some(tp) if tp.order.len() == n && n > 0 => {
-                match crate::parallel::effective_walk_threads(n, threads) {
-                    t if t > 1 => {
-                        let (v, s) = crate::parallel::prf_rank_tree_parallel_stats_prepared(
-                            self, omega, t, tp,
-                        );
-                        (v, Some(s))
-                    }
-                    _ => {
-                        let (v, s) = crate::tree::prf_rank_tree_stats_prepared(self, omega, tp);
-                        (v, Some(s))
-                    }
-                }
-            }
-            _ => self.prf_values_with_stats(omega, threads),
-        }
     }
 }
 
@@ -595,13 +359,21 @@ mod tests {
     }
 
     #[test]
-    fn trait_and_inherent_views_agree() {
+    fn walk_answers_match_the_direct_kernel() {
         let db = IndependentDb::from_pairs([(10.0, 0.5), (5.0, 0.4), (1.0, 1.0)]).unwrap();
         assert_eq!(ProbabilisticRelation::n_tuples(&db), 3);
         assert_eq!(db.tuple_scores(), vec![10.0, 5.0, 1.0]);
         let direct = crate::independent::prf_rank(&db, &StepWeight { h: 2 });
-        let via_trait = ProbabilisticRelation::prf_values(&db, &StepWeight { h: 2 }, None);
-        assert_eq!(direct, via_trait);
+        let spec =
+            SharedWalkSpec::serial(vec![SharedRequest::Weight(Arc::new(StepWeight { h: 2 }))]);
+        // Empty state and prepared state walk to the same answer.
+        for prep in [PreparedState::empty(), db.prepare()] {
+            let out = db.run_shared_walk(&spec, &prep).unwrap();
+            let SharedAnswer::Complex(via_walk) = &out.answers[0] else {
+                panic!("weight request answers complex values")
+            };
+            assert_eq!(&direct, via_walk);
+        }
     }
 
     #[test]
@@ -614,7 +386,7 @@ mod tests {
             (6.0, 0.3),
         ])
         .unwrap();
-        // Compare the k-pass default against the single-pass kernel.
+        // Compare the one-walk default against the single-pass kernel.
         struct Generic<'a>(&'a IndependentDb);
         impl ProbabilisticRelation for Generic<'_> {
             fn n_tuples(&self) -> usize {
@@ -629,25 +401,37 @@ mod tests {
             fn correlation_class(&self) -> CorrelationClass {
                 CorrelationClass::Graphical
             }
-            fn prf_values(
+            fn run_shared_walk(
                 &self,
-                omega: &(dyn WeightFunction + Sync),
-                threads: Option<usize>,
-            ) -> Vec<Complex> {
-                self.0.prf_values(omega, threads)
-            }
-            fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-                self.0.prfe_values(alpha)
+                spec: &SharedWalkSpec,
+                prep: &PreparedState,
+            ) -> Option<SharedWalkOut> {
+                self.0.run_shared_walk(spec, prep)
             }
         }
         for k in [1usize, 3, 5] {
-            let fast = db.positional_candidates(k).select_distinct();
-            let slow = Generic(&db).positional_candidates(k).select_distinct();
+            let fast = db.positional_candidates(k).unwrap().select_distinct();
+            let slow = Generic(&db)
+                .positional_candidates(k)
+                .unwrap()
+                .select_distinct();
             assert_eq!(
                 fast.iter().map(|c| c.1).collect::<Vec<_>>(),
                 slow.iter().map(|c| c.1).collect::<Vec<_>>(),
                 "k={k}"
             );
+            // Splitting the positions over several walks (as large
+            // relations do) reads the same table.
+            for per_walk in [1usize, 2, k] {
+                let split = positional_table(&Generic(&db), k, per_walk)
+                    .unwrap()
+                    .select_distinct();
+                assert_eq!(split.len(), fast.len(), "k={k} per_walk={per_walk}");
+                for (a, b) in split.iter().zip(&fast) {
+                    assert_eq!(a.1, b.1, "k={k} per_walk={per_walk}");
+                    assert!((a.0 - b.0).abs() <= 1e-9, "k={k} per_walk={per_walk}");
+                }
+            }
         }
     }
 }

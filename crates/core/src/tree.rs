@@ -28,8 +28,9 @@
 //! 4. [`expected_ranks_tree`] — the same machinery over dual numbers for
 //!    expected ranks (Cormode et al.) on correlated data.
 //!
-//! The `*_stats` variants additionally report the evaluator's memory
-//! accounting ([`GfStats`]), surfaced by the query engine's `EvalReport`.
+//! The query engine reaches all of them through one shared walk (section 5
+//! below), whose evaluator memory accounting ([`GfStats`]) surfaces in the
+//! engine's `EvalReport`.
 
 #![allow(clippy::needless_range_loop)] // index loops pair several parallel arrays
 
@@ -43,6 +44,7 @@ use prf_pdb::{AndXorTree, Tuple, TupleId};
 
 use crate::incremental::{EvalPlan, GfStats, IncrementalGf};
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
+use crate::query::PreparedState;
 use crate::weights::WeightFunction;
 
 /// Tuple processing order (score descending, id ascending) and its inverse
@@ -71,7 +73,7 @@ pub(crate) fn tuple_view(tree: &AndXorTree, marginals: &[f64], t: TupleId) -> Tu
 /// Cached per-relation walk artifacts — everything a tree walk otherwise
 /// rebuilds on every call: the score order and its inverse permutation, the
 /// tuple marginals, and the compiled combine plan. One `TreePrepared`
-/// serves any number of serial, sharded, single-query, or batched walks
+/// serves any number of serial or sharded walks
 /// over the same tree (per-walk evaluator *state* is built fresh each walk;
 /// only this immutable skeleton is shared), which is what lets a serving
 /// layer amortize the `O(n log n)` sort and `O(tree)` plan compilation
@@ -128,38 +130,13 @@ pub(crate) fn upsilon_from_gf(
 /// ([`prf_rank_tree_refold`]) is enforced to 1e-9 by the differential suite
 /// in `tests/incremental_engine.rs`.
 pub fn prf_rank_tree(tree: &AndXorTree, omega: &dyn WeightFunction) -> Vec<Complex> {
-    prf_rank_tree_stats(tree, omega).0
-}
-
-/// [`prf_rank_tree`] plus the evaluator's memory accounting.
-pub fn prf_rank_tree_stats(
-    tree: &AndXorTree,
-    omega: &dyn WeightFunction,
-) -> (Vec<Complex>, GfStats) {
-    let n = tree.n_tuples();
-    if n == 0 {
-        return (Vec::new(), GfStats::default());
-    }
-    prf_rank_tree_stats_prepared(tree, omega, &TreePrepared::new(tree))
-}
-
-/// [`prf_rank_tree_stats`] over cached walk artifacts: identical output,
-/// but the sort, marginals, and compiled plan come from `prep` instead of
-/// being rebuilt — the single-query form a `PreparedRelation` runs.
-pub(crate) fn prf_rank_tree_stats_prepared(
-    tree: &AndXorTree,
-    omega: &dyn WeightFunction,
-    prep: &TreePrepared,
-) -> (Vec<Complex>, GfStats) {
     let n = tree.n_tuples();
     let mut out = vec![Complex::ZERO; n];
-    if n == 0 {
-        return (out, GfStats::default());
-    }
     let cap = omega.truncation().unwrap_or(n).min(n);
     if cap == 0 {
-        return (out, GfStats::default());
+        return out;
     }
+    let prep = TreePrepared::new(tree);
     let mut inc = prep.plan.evaluator(|_| RankPoly::one().with_cap(cap));
     for (i, &t) in prep.order.iter().enumerate() {
         if i > 0 {
@@ -171,8 +148,7 @@ pub(crate) fn prf_rank_tree_stats_prepared(
         let tv = tuple_view(tree, &prep.marginals, t);
         out[t.index()] = upsilon_from_gf(inc.root(), &tv, omega, cap);
     }
-    let stats = inc.stats();
-    (out, stats)
+    out
 }
 
 /// The literal Algorithm 2: one full bottom-up refold of the entire tree
@@ -293,15 +269,10 @@ pub fn prf_rank_tree_interp(tree: &AndXorTree, omega: &dyn WeightFunction) -> Ve
 /// `p = 1` leaves, zero-probability edges and `α = 0` need no zero-count
 /// bookkeeping.
 pub fn prfe_rank_tree<T: GfValue>(tree: &AndXorTree, alpha: T) -> Vec<T> {
-    prfe_rank_tree_stats(tree, alpha).0
-}
-
-/// [`prfe_rank_tree`] plus the evaluator's memory accounting.
-pub fn prfe_rank_tree_stats<T: GfValue>(tree: &AndXorTree, alpha: T) -> (Vec<T>, GfStats) {
     let n = tree.n_tuples();
     let mut out = vec![T::zero(); n];
     if n == 0 {
-        return (out, GfStats::default());
+        return out;
     }
     let (order, _) = score_order(tree);
     let plan = EvalPlan::new(tree);
@@ -317,8 +288,7 @@ pub fn prfe_rank_tree_stats<T: GfValue>(tree: &AndXorTree, alpha: T) -> (Vec<T>,
         // Υ(t) = B(α)·α.
         out[t.index()] = inc.root().b.mul(&alpha);
     }
-    let stats = inc.stats();
-    (out, stats)
+    out
 }
 
 /// [`prfe_rank_tree`] in scaled-complex arithmetic — underflow-proof at any
@@ -326,14 +296,6 @@ pub fn prfe_rank_tree_stats<T: GfValue>(tree: &AndXorTree, alpha: T) -> (Vec<T>,
 /// [`Scaled::magnitude_key`](prf_numeric::Scaled::magnitude_key).
 pub fn prfe_rank_tree_scaled(tree: &AndXorTree, alpha: Complex) -> Vec<Scaled<Complex>> {
     prfe_rank_tree(tree, Scaled::new(alpha))
-}
-
-/// [`prfe_rank_tree_scaled`] plus the evaluator's memory accounting.
-pub fn prfe_rank_tree_scaled_stats(
-    tree: &AndXorTree,
-    alpha: Complex,
-) -> (Vec<Scaled<Complex>>, GfStats) {
-    prfe_rank_tree_stats(tree, Scaled::new(alpha))
 }
 
 /// Recompute-from-scratch PRFe on a tree: one full `O(node count)` fold per
@@ -419,8 +381,8 @@ pub(crate) struct BatchConsumers {
 enum ScalarKind {
     /// PRFe(α), plain complex.
     Complex(Complex),
-    /// PRFe(α), scaled; `true` converts to log-domain keys at extraction
-    /// (matching the trait default `prfe_log_keys`).
+    /// PRFe(α), scaled; `true` converts to log-domain keys
+    /// (`ln |Υ|`) at extraction.
     Scaled(Complex, bool),
     /// Expected ranks: the in-world term er₁ via `α = 1 + ε`.
     Erank,
@@ -451,24 +413,6 @@ impl BatchConsumers {
             scalars,
             cap,
         }
-    }
-
-    /// Pre-sized answer buffers, one per request, matching the single-query
-    /// kernels' defaults (zero Υ values, `-∞` log keys).
-    pub(crate) fn answer_buffers(spec: &SharedWalkSpec, n: usize) -> Vec<SharedAnswer> {
-        spec.requests
-            .iter()
-            .map(|req| match req {
-                SharedRequest::Weight(_) | SharedRequest::PrfeComplex(_) => {
-                    SharedAnswer::Complex(vec![Complex::ZERO; n])
-                }
-                SharedRequest::PrfeLog(_) => SharedAnswer::Log(vec![f64::NEG_INFINITY; n]),
-                SharedRequest::PrfeScaled(_) => {
-                    SharedAnswer::Scaled(vec![Scaled::<Complex>::zero(); n])
-                }
-                SharedRequest::ExpectedRanks => SharedAnswer::Ranks(vec![0.0; n]),
-            })
-            .collect()
     }
 
     /// `true` when an expected-ranks consumer is present (it needs the
@@ -507,8 +451,8 @@ enum ScalarWalker<'p> {
 impl<'p> BatchWalkers<'p> {
     /// Builds every evaluator directly in the labelling where tuples with
     /// `processed(t) == true` already carry their post-walk label (`x` /
-    /// `α`) — the same fast-forward construction the sharded parallel walk
-    /// uses for a single query.
+    /// `α`) — the fast-forward construction the sharded parallel walk
+    /// starts each shard from.
     pub(crate) fn fast_forward(
         plan: &'p EvalPlan,
         consumers: &BatchConsumers,
@@ -730,30 +674,96 @@ pub(crate) fn finish_erank_answers(
     }
 }
 
-/// Serves a whole [`SharedWalkSpec`] from **one** serial score-order walk
-/// over **one** compiled plan: the batched form of [`prf_rank_tree`] /
-/// [`prfe_rank_tree`] / [`expected_ranks_tree`], answer-equivalent to
-/// running each request's single-query kernel (within 1e-9 — see
-/// `tests/batch_equivalence.rs`).
+/// The [`AndXorTree`] walk entry behind
+/// [`ProbabilisticRelation::run_shared_walk`](crate::query::ProbabilisticRelation::run_shared_walk).
 ///
-/// Returns `None` when the spec's cancellation token trips mid-walk (every
-/// consumer gave up — see `SharedWalkSpec::cancel`).
-pub(crate) fn batch_walk_tree(tree: &AndXorTree, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
+/// Truncated weight requests on an x-tuple tree take the
+/// `O(n·h·log n)` fast path ([`crate::xtuple::prf_omega_rank_xtuple`]),
+/// which needs no plan. Every other request shares one walk over the
+/// prepared skeleton (`prep`, or a fresh [`TreePrepared`] when `prep` holds
+/// none for this tree), sharded over `spec.threads` workers when every
+/// shard clears [`crate::parallel::PARALLEL_MIN_SHARD_TUPLES`] and serial
+/// otherwise (identical answers, strictly less work).
+pub(crate) fn walk_tree(
+    tree: &AndXorTree,
+    spec: &SharedWalkSpec,
+    prep: &PreparedState,
+) -> Option<SharedWalkOut> {
     let start = Instant::now();
-    if tree.n_tuples() == 0 {
+    let n = tree.n_tuples();
+    if n == 0 {
         return Some(SharedWalkOut {
-            answers: BatchConsumers::answer_buffers(spec, 0),
+            answers: spec.answer_buffers(0),
             stats: None,
             walk_seconds: start.elapsed().as_secs_f64(),
         });
     }
-    batch_walk_tree_prepared(tree, spec, &TreePrepared::new(tree))
+    let xtuple = tree.x_tuple_groups().is_some();
+    let fast: Vec<Option<Vec<Complex>>> = spec
+        .requests
+        .iter()
+        .map(|req| match req {
+            SharedRequest::Weight(w) if xtuple && w.truncation().is_some() => {
+                crate::xtuple::prf_omega_rank_xtuple(tree, &**w)
+            }
+            _ => None,
+        })
+        .collect();
+    let rest = SharedWalkSpec {
+        requests: spec
+            .requests
+            .iter()
+            .zip(&fast)
+            .filter(|(_, f)| f.is_none())
+            .map(|(r, _)| r.clone())
+            .collect(),
+        threads: spec.threads,
+        cancel: spec.cancel.clone(),
+    };
+    let walked = if rest.requests.is_empty() {
+        None
+    } else {
+        let built;
+        let tp = match prep.tree_prepared() {
+            Some(tp) if tp.order.len() == n => tp,
+            _ => {
+                built = TreePrepared::new(tree);
+                &built
+            }
+        };
+        Some(
+            match crate::parallel::effective_walk_threads(n, spec.threads) {
+                t if t > 1 => crate::parallel::batch_walk_tree_parallel(tree, &rest, t, tp),
+                _ => batch_walk_tree(tree, &rest, tp),
+            }?,
+        )
+    };
+    let (stats, rest_answers) = walked.map_or((None, Vec::new()), |w| (w.stats, w.answers));
+    let mut rest_answers = rest_answers.into_iter();
+    let answers = fast
+        .into_iter()
+        .map(|f| match f {
+            Some(vals) => SharedAnswer::Complex(vals),
+            None => rest_answers.next().expect("one answer per walked request"),
+        })
+        .collect();
+    Some(SharedWalkOut {
+        answers,
+        stats,
+        walk_seconds: start.elapsed().as_secs_f64(),
+    })
 }
 
-/// [`batch_walk_tree`] over cached walk artifacts (see [`TreePrepared`]):
-/// identical answers, but the sort, marginals, and compiled plan are reused
-/// across calls — a serving flush pays only the walk itself.
-pub(crate) fn batch_walk_tree_prepared(
+/// Serves a whole [`SharedWalkSpec`] from **one** serial score-order walk
+/// over **one** prepared skeleton (see [`TreePrepared`]): the batched form
+/// of [`prf_rank_tree`] / [`prfe_rank_tree`] / [`expected_ranks_tree`],
+/// answer-equivalent to each request's free kernel (within 1e-9 — see
+/// `tests/batch_equivalence.rs`). A serving flush reusing `prep` pays only
+/// the walk itself.
+///
+/// Returns `None` when the spec's cancellation token trips mid-walk (every
+/// consumer gave up — see `SharedWalkSpec::cancel`).
+pub(crate) fn batch_walk_tree(
     tree: &AndXorTree,
     spec: &SharedWalkSpec,
     prep: &TreePrepared,
@@ -761,14 +771,7 @@ pub(crate) fn batch_walk_tree_prepared(
     let start = Instant::now();
     let n = tree.n_tuples();
     let consumers = BatchConsumers::parse(spec, n);
-    let mut answers = BatchConsumers::answer_buffers(spec, n);
-    if n == 0 {
-        return Some(SharedWalkOut {
-            answers,
-            stats: None,
-            walk_seconds: start.elapsed().as_secs_f64(),
-        });
-    }
+    let mut answers = spec.answer_buffers(n);
     let mut walkers = BatchWalkers::fast_forward(&prep.plan, &consumers, |_| false);
     for (i, &t) in prep.order.iter().enumerate() {
         // Cooperative cancellation: abandon the walk once every consumer
@@ -782,8 +785,8 @@ pub(crate) fn batch_walk_tree_prepared(
     }
     let stats = walkers.stats();
     // The E-Rank absent-worlds pass holds one transient scalar evaluator;
-    // like the serial single-query path, it is not part of the reported
-    // walk accounting (and the parallel walk reports identically).
+    // it is not part of the reported walk accounting (and the parallel
+    // walk reports identically).
     finish_erank_answers(&consumers, &prep.plan, n, &mut answers);
     Some(SharedWalkOut {
         answers,
@@ -1080,12 +1083,22 @@ mod tests {
     #[test]
     fn stats_variants_report_memory() {
         let tree = figure1_tree();
-        let (vals, stats) = prf_rank_tree_stats(&tree, &StepWeight { h: 3 });
-        assert_eq!(vals, prf_rank_tree(&tree, &StepWeight { h: 3 }));
+        let walk = |req| {
+            let spec = SharedWalkSpec::serial(vec![req]);
+            let out = batch_walk_tree(&tree, &spec, &TreePrepared::new(&tree)).unwrap();
+            (
+                out.answers,
+                out.stats.expect("the tree walk accounts memory"),
+            )
+        };
+        let (vals, stats) = walk(SharedRequest::Weight(Arc::new(StepWeight { h: 3 })));
+        let SharedAnswer::Complex(vals) = &vals[0] else {
+            panic!("weight request answers complex values")
+        };
+        assert_eq!(*vals, prf_rank_tree(&tree, &StepWeight { h: 3 }));
         assert!(stats.plan_nodes > 0);
         assert!(stats.peak_coefficients >= stats.resident_coefficients);
-        let (svals, sstats) = prfe_rank_tree_scaled_stats(&tree, Complex::real(0.7));
-        assert_eq!(svals.len(), tree.n_tuples());
+        let (_, sstats) = walk(SharedRequest::PrfeScaled(Complex::real(0.7)));
         assert!(sstats.plan_nodes > 0);
         // Scalar engines hold no heap coefficients.
         assert_eq!(sstats.peak_coefficients, 0);

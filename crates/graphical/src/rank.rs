@@ -19,7 +19,12 @@
 //! treewidth-1 Markov-chain specialisation in [`crate::markov`] runs in
 //! `O(n³)`.
 
-use prf_numeric::Complex;
+use std::time::Instant;
+
+use prf_core::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
+use prf_core::query::PreparedState;
+use prf_core::weights::{ExponentialWeight, WeightFunction};
+use prf_numeric::{Complex, Scaled};
 use prf_pdb::tuple::sort_indices_by_score_desc;
 use prf_pdb::{Tuple, TupleId};
 
@@ -202,7 +207,7 @@ pub fn rank_distributions_network(net: &MarkovNetwork, scores: &[f64]) -> Vec<Ve
 pub fn prf_rank_junction(
     jt: &JunctionTree,
     scores: &[f64],
-    omega: &dyn prf_core::weights::WeightFunction,
+    omega: &dyn WeightFunction,
 ) -> Vec<Complex> {
     let dists = rank_distributions_junction(jt, scores);
     upsilons_from_dists(&dists, scores, omega)
@@ -213,7 +218,7 @@ pub fn prf_rank_junction(
 pub fn prf_rank_markov_chain(
     chain: &MarkovChain,
     scores: &[f64],
-    omega: &dyn prf_core::weights::WeightFunction,
+    omega: &dyn WeightFunction,
 ) -> Vec<Complex> {
     let dists = chain.rank_distributions(scores);
     upsilons_from_dists(&dists, scores, omega)
@@ -300,27 +305,64 @@ impl prf_core::query::ProbabilisticRelation for NetworkRelation {
         prf_core::query::CorrelationClass::Graphical
     }
 
-    fn prf_values(
+    /// One walk = one set of junction-tree rank distributions, read by
+    /// every request. Scaled and log-domain PRFe wrap the plain-complex
+    /// values (the junction-tree DP bounds feasible `n` far below the
+    /// underflow regime, so `Auto` keeps PRFe exact here). Declines
+    /// (`None`) any walk containing E-Rank, which has no junction-tree
+    /// algorithm.
+    fn run_shared_walk(
         &self,
-        omega: &(dyn prf_core::weights::WeightFunction + Sync),
-        _threads: Option<usize>,
-    ) -> Vec<Complex> {
-        prf_rank_junction(&self.jt, &self.scores, omega)
-    }
-
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-        prf_rank_junction(
-            &self.jt,
-            &self.scores,
-            &prf_core::weights::ExponentialWeight { alpha },
-        )
+        spec: &SharedWalkSpec,
+        _prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        let start = Instant::now();
+        if spec.is_cancelled()
+            || spec
+                .requests
+                .iter()
+                .any(|r| matches!(r, SharedRequest::ExpectedRanks))
+        {
+            return None;
+        }
+        let dists = if spec.requests.is_empty() {
+            Vec::new()
+        } else {
+            rank_distributions_junction(&self.jt, &self.scores)
+        };
+        let upsilons =
+            |omega: &dyn WeightFunction| upsilons_from_dists(&dists, &self.scores, omega);
+        let prfe = |alpha| upsilons(&ExponentialWeight { alpha });
+        let answers = spec
+            .requests
+            .iter()
+            .map(|req| match req {
+                SharedRequest::Weight(w) => SharedAnswer::Complex(upsilons(&**w)),
+                SharedRequest::PrfeComplex(a) => SharedAnswer::Complex(prfe(*a)),
+                SharedRequest::PrfeScaled(a) => {
+                    SharedAnswer::Scaled(prfe(*a).into_iter().map(Scaled::new).collect())
+                }
+                SharedRequest::PrfeLog(a) => SharedAnswer::Log(
+                    prfe(Complex::real(*a))
+                        .into_iter()
+                        .map(|v| Scaled::new(v).magnitude_key() * std::f64::consts::LN_2)
+                        .collect(),
+                ),
+                SharedRequest::ExpectedRanks => unreachable!("declined above"),
+            })
+            .collect();
+        Some(SharedWalkOut {
+            answers,
+            stats: None,
+            walk_seconds: start.elapsed().as_secs_f64(),
+        })
     }
 }
 
 fn upsilons_from_dists(
     dists: &[Vec<f64>],
     scores: &[f64],
-    omega: &dyn prf_core::weights::WeightFunction,
+    omega: &dyn WeightFunction,
 ) -> Vec<Complex> {
     let marginals: Vec<f64> = dists.iter().map(|d| d.iter().sum()).collect();
     dists

@@ -50,7 +50,7 @@
 //! | legacy free function | `RankQuery` equivalent |
 //! |---|---|
 //! | `prf_rank(&db, &ω)` / `prf_rank_tree(&tree, &ω)` | `RankQuery::prf(ω).run(&db)?` |
-//! | `prf_rank_tree_parallel(&tree, &ω, t)` | `RankQuery::prf(ω).parallel(t).run(&tree)?` |
+//! | `prf_rank_tree_parallel(&tree, &ω, t)` (removed) | `RankQuery::prf(ω).parallel(t).run(&tree)?` |
 //! | `prfe_rank(&db, α)` / `prfe_rank_tree(&tree, α)` | `RankQuery::prfe_complex(α).algorithm(Algorithm::ExactGf).run(…)?` |
 //! | `prfe_rank_log(&db, α)` | `RankQuery::prfe(α).algorithm(Algorithm::LogDomain).run(&db)?` |
 //! | `prfe_rank_scaled(&db, α)` / `prfe_rank_tree_scaled` | `RankQuery::prfe_complex(α).algorithm(Algorithm::Scaled).run(…)?` |

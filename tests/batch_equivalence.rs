@@ -6,9 +6,11 @@
 //! `Scaled`), serial and sharded-parallel, including proptest-generated
 //! random batches (whose failures shrink, courtesy of the shim).
 //!
-//! The single-query side never routes through the batch engine (its
-//! kernels are the free functions differential-tested against brute force
-//! elsewhere), so the comparison is not circular.
+//! A single query is itself a one-entry batch, so this suite pins that
+//! *sharing* a walk never changes an answer; the tests at the end compare
+//! batches against the free kernels directly (the x-tuple fast path, the
+//! general-tree walk, the junction-tree kernels), and
+//! `tests/query_equivalence.rs` pins every single query against them.
 
 use prf::prelude::*;
 use proptest::prelude::*;
@@ -337,8 +339,9 @@ fn small_batches_gate_to_the_serial_route() {
 }
 
 // ---------------------------------------------------------------------
-// NetworkRelation: no shared-walk kernel — everything falls back, and the
-// batch must still equal the sequential runs (including error behaviour)
+// NetworkRelation: one walk answers every PRF-family entry from one set of
+// junction-tree rank distributions, and declines E-Rank — the batch must
+// still equal the sequential runs (including error behaviour)
 // ---------------------------------------------------------------------
 
 #[test]
@@ -351,14 +354,16 @@ fn batch_equals_sequential_on_graphical() {
         RankQuery::urank(3),
     ];
     assert_batch_equivalent(&rel, &queries, None, "graphical");
-    // Nothing shares on this backend…
+    // The PRF-family entries share one set of junction-tree rank
+    // distributions; U-Rank keeps its per-query evaluator…
     let results = QueryBatch::new()
         .add_queries(queries.iter().cloned())
         .run(&rel)
         .unwrap();
-    for r in &results {
-        assert!(r.report.batch.is_none(), "graphical entries never share");
+    for r in &results[..3] {
+        assert_eq!(r.report.batch.map(|c| c.consumers), Some(3));
     }
+    assert!(results[3].report.batch.is_none());
     // …and unsupported semantics error exactly like the sequential run.
     let err = QueryBatch::new()
         .add(Semantics::Pt(2))
@@ -449,4 +454,105 @@ proptest! {
         let queries: Vec<RankQuery> = picks.into_iter().map(query_from_pick).collect();
         assert_batch_equivalent(&tree, &queries, None, &format!("proptest tree seed {seed}"));
     }
+}
+
+// ---------------------------------------------------------------------
+// The two backends whose route moved into the walk entry, against their
+// free kernels
+// ---------------------------------------------------------------------
+
+fn assert_complex_close(got: &[Complex], want: &[Complex], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: length");
+    for (t, (x, y)) in got.iter().zip(want).enumerate() {
+        assert!(x.approx_eq(*y, TOL), "{ctx}: tuple {t}: {x} vs {y}");
+    }
+}
+
+/// On x-tuple trees the walk entry answers truncated weight requests on
+/// the `O(n·h·log n)` fast path and everything else on the shared walk;
+/// a mixed batch must match both the fast path and the general-tree walk.
+#[test]
+fn xtuple_mixed_batch_matches_fast_path_and_general_walk() {
+    use prf::core::{expected_ranks_tree, prf_omega_rank_xtuple, prf_rank_tree, prfe_rank_tree};
+    for seed in 0..4u64 {
+        let tree = random_xtuple_tree(300 + seed, 20);
+        assert_eq!(tree.correlation_class(), CorrelationClass::XTuple);
+        let results = QueryBatch::new()
+            .add(Semantics::Pt(3))
+            .add_query(RankQuery::prfe(0.8).algorithm(Algorithm::ExactGf))
+            .add(Semantics::ERank)
+            .add(Semantics::Pt(7))
+            .run(&tree)
+            .unwrap();
+        for (i, h) in [(0usize, 3usize), (3, 7)] {
+            let ctx = format!("seed {seed} PT({h})");
+            let got = results[i].values.as_complex().unwrap();
+            let w = StepWeight { h };
+            let fast = prf_omega_rank_xtuple(&tree, &w).expect("x-tuple form");
+            assert_complex_close(got, &fast, &format!("{ctx} vs fast path"));
+            assert_complex_close(got, &prf_rank_tree(&tree, &w), &format!("{ctx} vs walk"));
+        }
+        let prfe = prfe_rank_tree(&tree, Complex::real(0.8));
+        let got = results[1].values.as_complex().unwrap();
+        assert_complex_close(got, &prfe, &format!("seed {seed} PRFe"));
+        let er: Vec<Complex> = expected_ranks_tree(&tree)
+            .into_iter()
+            .map(|e| Complex::real(-e))
+            .collect();
+        let got = results[2].values.as_complex().unwrap();
+        assert_complex_close(got, &er, &format!("seed {seed} E-Rank"));
+    }
+}
+
+/// The graphical adapter under per-entry isolation: PT, PRFω and PRFe in
+/// all three numeric modes match the junction-tree kernels, and E-Rank —
+/// which the adapter's walk declines — fails alone with `Unsupported`.
+#[test]
+fn network_run_isolated_matches_junction_kernels() {
+    use prf::core::weights::{ExponentialWeight, WeightFunction};
+    use prf::graphical::prf_rank_junction;
+    let rel = random_network(17, 7);
+    let alpha = Complex::real(0.7);
+    let tab = TabulatedWeight::from_real(&[1.0, 0.5, 0.25]);
+    let results = QueryBatch::new()
+        .add(Semantics::Pt(3))
+        .add(Semantics::ERank)
+        .add_query(RankQuery::prf(tab.clone()))
+        .add_query(RankQuery::prfe(0.7).algorithm(Algorithm::ExactGf))
+        .add_query(RankQuery::prfe(0.7).algorithm(Algorithm::LogDomain))
+        .add_query(RankQuery::prfe(0.7).algorithm(Algorithm::Scaled))
+        .run_isolated(&rel);
+    assert!(
+        matches!(
+            results[1],
+            Err(QueryError::Unsupported {
+                semantics: "E-Rank",
+                backend: CorrelationClass::Graphical
+            })
+        ),
+        "{:?}",
+        results[1].as_ref().err()
+    );
+    let kernel = |omega: &dyn WeightFunction| {
+        prf_rank_junction(rel.junction_tree(), &rel.tuple_scores(), omega)
+    };
+    let ok = |i: usize| results[i].as_ref().expect("supported entry succeeds");
+    let pt = kernel(&StepWeight { h: 3 });
+    assert_complex_close(ok(0).values.as_complex().unwrap(), &pt, "PT");
+    assert_complex_close(ok(2).values.as_complex().unwrap(), &kernel(&tab), "PRFω");
+    let prfe = kernel(&ExponentialWeight { alpha });
+    assert_complex_close(ok(3).values.as_complex().unwrap(), &prfe, "PRFe exact");
+    for (t, (key, v)) in ok(4).values.as_log().unwrap().iter().zip(&prfe).enumerate() {
+        let want = v.abs().ln();
+        let close = (key - want).abs() <= TOL * want.abs().max(1.0) || (*key == want);
+        assert!(close, "PRFe log: tuple {t}: {key} vs {want}");
+    }
+    let scaled: Vec<Complex> = ok(5)
+        .values
+        .as_scaled()
+        .unwrap()
+        .iter()
+        .map(|v| v.to_plain())
+        .collect();
+    assert_complex_close(&scaled, &prfe, "PRFe scaled");
 }

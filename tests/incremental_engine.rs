@@ -10,12 +10,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use prf::core::query::{CorrelationClass, ProbabilisticRelation, RankQuery};
 use prf::core::tree::{
-    prf_rank_tree, prf_rank_tree_refold, prf_rank_tree_stats, prfe_rank_tree,
-    prfe_rank_tree_recompute, prfe_rank_tree_scaled,
+    prf_rank_tree, prf_rank_tree_refold, prfe_rank_tree, prfe_rank_tree_recompute,
+    prfe_rank_tree_scaled,
 };
 use prf::core::{
-    expected_ranks_tree, prf_rank_tree_parallel, ConstantWeight, ExponentialWeight, StepWeight,
+    effective_walk_threads, expected_ranks_tree, ConstantWeight, ExponentialWeight, StepWeight,
+    PARALLEL_MIN_SHARD_TUPLES,
 };
 use prf::numeric::Complex;
 use prf::pdb::{AndXorTree, NodeKind, TreeBuilder, TupleId};
@@ -199,14 +201,23 @@ fn degenerate_shapes_match_oracles() {
 
 #[test]
 fn parallel_shards_match_serial_on_general_trees() {
-    for seed in 0..4u64 {
-        let tree = random_tree(seed, 40, 4);
-        let w = StepWeight { h: 7 };
-        let serial = prf_rank_tree(&tree, &w);
-        for threads in [2usize, 3, 8] {
-            let par = prf_rank_tree_parallel(&tree, &w, threads);
-            assert_all_close(&par, &serial, &format!("seed {seed} threads {threads}"));
-        }
+    // Large enough that every requested shard clears the parallel floor,
+    // so the public route really shards (the sharded walk's unit tests in
+    // `prf_core::parallel` cover small trees by calling it directly).
+    let n = 3 * PARALLEL_MIN_SHARD_TUPLES + 12;
+    let tree = random_tree(5, n, 4);
+    assert_eq!(tree.correlation_class(), CorrelationClass::Tree);
+    let w = StepWeight { h: 3 };
+    let serial = prf_rank_tree(&tree, &w);
+    let serial_nodes = RankQuery::prf(w).run(&tree).unwrap().report.memory.unwrap();
+    for threads in [2usize, 3] {
+        assert_eq!(effective_walk_threads(n, Some(threads)), threads);
+        let par = RankQuery::prf(w).parallel(threads).run(&tree).unwrap();
+        let ctx = format!("threads {threads}");
+        assert_all_close(par.values.as_complex().unwrap(), &serial, &ctx);
+        // One evaluator per concurrent shard.
+        let nodes = par.report.memory.unwrap().plan_nodes;
+        assert_eq!(nodes, threads * serial_nodes.plan_nodes, "{ctx}");
     }
 }
 
@@ -214,7 +225,12 @@ fn parallel_shards_match_serial_on_general_trees() {
 fn stats_peak_covers_resident_on_every_shape() {
     for seed in 0..4u64 {
         let tree = random_tree(seed, 30, 4);
-        let (_, stats) = prf_rank_tree_stats(&tree, &StepWeight { h: 5 });
+        let stats = RankQuery::prf(StepWeight { h: 5 })
+            .run(&tree)
+            .unwrap()
+            .report
+            .memory
+            .unwrap();
         assert!(stats.plan_nodes >= tree.n_tuples());
         assert!(stats.peak_coefficients >= stats.resident_coefficients);
         assert!(stats.peak_bytes >= stats.peak_coefficients * 8);

@@ -311,7 +311,12 @@ fn serve_equals_sequential_two_threads_zero_deadline() {
 
 #[test]
 fn serve_equals_sequential_with_parallel_walks() {
-    // Sharded shared walks under the server must stay answer-identical.
+    // A `parallel(2)` server config must stay answer-identical. At n = 30
+    // the `n/threads` gate (`effective_walk_threads`) routes every walk
+    // serial, so this pins the config plumbing and the gate, not the
+    // sharded walk itself — that is covered by `prf_core::parallel`'s unit
+    // tests (called directly) and by `parallel_shards_match_serial_on_
+    // general_trees` in `tests/incremental_engine.rs` (above the gate).
     let tree = random_general_tree(51, 30);
     let n = prf::pdb::AndXorTree::n_tuples(&tree);
     let queries = mixed_trace(52, n, 24);
