@@ -1,18 +1,16 @@
 //! Criterion benchmarks for [`ShardedRelation`]: the fig 11(i) serving
 //! batch (PRFe(0.95) + PT(100) + E-Rank as one top-100 `QueryBatch`) on
 //! the IIP instance, unsharded vs 4 score-contiguous shards, each
-//! sharded configuration running `w` shard-pool workers plus
-//! `QueryBatch::parallel(w)` batch threads (which also fan the per-entry
-//! finalization out over scoped threads), plus one shard's standalone
-//! walk (the phase-B critical path on an idle multi-core host).
+//! sharded configuration running its shard phases on `w` worker threads
+//! (`ShardedRelation::new(.., w)`) plus `QueryBatch::parallel(w)` batch
+//! threads (which also fan the per-entry finalization out), plus one
+//! shard's standalone walk (the phase-B critical path on an idle
+//! multi-core host).
 //!
-//! Reading the numbers: on a multi-core host the `sharded_4x/*_workers`
-//! p50s fall with the worker count directly. On a single-core host (the
-//! CI container) they coincide — wall ≈ total work there, so the scaling
-//! signal is modeled instead from the measured work partition (walk
-//! critical path + finalize critical path + remainder), which is what
-//! EXPERIMENTS.md's `shard` scenario prints from its own measurements.
-//! The `sharded_4x/1_workers : unsharded` ratio is the monoid's work
+//! Reading the numbers: the `sharded_4x/*_workers` p50s fall with the
+//! worker count up to the host's core count and flatten beyond it (on
+//! one core they coincide, since wall ≈ total work there). The
+//! `sharded_4x/1_workers : unsharded` ratio is the monoid's work
 //! overhead (phase A's presence-GF pass — a second data pass for PT's
 //! coefficient prefix).
 //!

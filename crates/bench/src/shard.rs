@@ -5,27 +5,28 @@
 //! score-contiguous `IndependentDb` shards and the fig 11(i) serving
 //! batch — PRFe(0.95), PT(100), E-Rank as ONE `QueryBatch`, truncated to
 //! the top-100 answers a server would return — runs over a serving
-//! configuration of `w` shard-pool workers **and** `w` batch threads
+//! configuration of `w` shard worker threads per walk phase
+//! (`ShardedRelation::new(.., w)`) **and** `w` batch threads
 //! (`QueryBatch::parallel(w)`, which also fans the per-entry
-//! finalization out over scoped threads).
+//! finalization out).
 //!
 //! Two kinds of numbers are reported, both measured:
 //!
 //! * **wall** — elapsed time per configuration. Only meaningful as a
 //!   scaling signal on a multi-core host: on a single-core machine every
-//!   worker count walls about the same (pool and threads serialize), and
+//!   worker count walls about the same (the threads serialize), and
 //!   what the sharded-vs-unsharded ratio shows instead is the *work
 //!   overhead* of sharding (phase A computes each shard's presence GF —
 //!   for coefficient consumers like PT that is a second pass over the
 //!   data).
 //! * **model** — the speedup implied by the measured work partition. The
 //!   1-worker run decomposes exactly through the batch reports: the
-//!   merged walk (`BatchCost::walk_seconds` — phase A + phase B, all
-//!   pool jobs over 4 equal shards), each entry's finalization
+//!   merged walk (`BatchCost::walk_seconds` — phase A + phase B, one
+//!   job per shard over 4 equal shards), each entry's finalization
 //!   (`total_seconds − kernel_seconds` — independent per entry, fanned
 //!   out by `parallel(w)`), and an unparallelized remainder. The modeled
-//!   `w`-worker wall is `walk·⌈4/w⌉/4 + (finalize round-robin critical
-//!   path over w threads) + remainder`. On one core wall ≈ total work,
+//!   `w`-worker wall is `walk·⌈4/w⌉/4 + (finalize critical path over
+//!   w threads pulling from one job list) + remainder`. On one core wall ≈ total work,
 //!   so this is the speedup an otherwise-idle `w`-core host would see.
 
 use std::sync::Arc;
@@ -117,12 +118,19 @@ fn time_batch(rel: &(impl ProbabilisticRelation + ?Sized), threads: usize) -> (f
     best
 }
 
-/// Round-robin critical path: thread `j` of `w` finalizes entries
-/// `j, j+w, …`; the slowest thread bounds the finalize stage.
+/// Shared-job-list critical path: entries are taken in order by whichever
+/// of the `w` threads frees first; the slowest thread bounds the finalize
+/// stage.
 fn critical_path(costs: &[f64], w: usize) -> f64 {
-    (0..w)
-        .map(|j| costs.iter().skip(j).step_by(w).sum::<f64>())
-        .fold(0.0f64, f64::max)
+    let mut busy = vec![0.0f64; w.max(1)];
+    for &cost in costs {
+        let next = busy
+            .iter_mut()
+            .min_by(|a, b| a.total_cmp(b))
+            .expect("at least one thread");
+        *next += cost;
+    }
+    busy.into_iter().fold(0.0f64, f64::max)
 }
 
 /// Runs the sharded-scaling experiment.
@@ -134,7 +142,7 @@ pub fn run(scale: Scale) {
     };
     println!(
         "batch = PRFe(.95) + PT(100) + E-Rank as one top-100 QueryBatch;\n\
-         config w = w shard-pool workers + parallel(w) batch threads; walls\n\
+         config w = w shard worker threads + parallel(w) batch threads; walls\n\
          are elapsed; 'model Nw' = measured-work speedup an idle N-core\n\
          host would see (walk/⌈4/N⌉ + finalize critical path + remainder;\n\
          see module docs)"
@@ -159,7 +167,7 @@ pub fn run(scale: Scale) {
             }
             walls.push(wall);
         }
-        // The 1-worker decomposition: pool-parallel walk, thread-parallel
+        // The 1-worker decomposition: shard-parallel walk, thread-parallel
         // finalize, and whatever neither covers (answer take, reporting).
         let other = (walls[0] - walk1 - fins1.iter().sum::<f64>()).max(0.0);
         let model = |w: usize| {

@@ -58,8 +58,8 @@
 //!   dual numbers;
 //! * [`xtuple`] — `O(n·h·log n)` PRFω(h) on x-tuples by a division-free
 //!   divide-and-conquer over the score sweep;
-//! * [`shard`] — sharded relations: score-contiguous shards walked by a
-//!   persistent worker pool and merged via the presence-GF monoid;
+//! * [`shard`] — sharded relations: score-contiguous shards walked
+//!   concurrently and merged via the presence-GF monoid;
 //! * [`attribute`] — ranking with uncertain scores (Section 4.4);
 //! * [`mixture`] — DFT-based approximation of PRFω by PRFe mixtures
 //!   (Section 5.1);
@@ -88,9 +88,9 @@ pub use attribute::{prf_rank_uncertain, prfe_rank_uncertain};
 /// Locks `m`, recovering the guard when a panicking holder poisoned it —
 /// the one sanctioned raw `Mutex::lock` in this crate (`clippy.toml` bans
 /// the rest). Every mutex here guards state that stays consistent across
-/// a panic (a job queue, a channel handle, a generation tracker whose
-/// slots each change in one assignment), so one panicking holder must not
-/// disable the structure for good.
+/// a panic (the [`parallel`] fork-join job list, a generation tracker
+/// whose slots each change in one assignment), so one panicking holder
+/// must not disable the structure for good.
 pub(crate) fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     #[allow(clippy::disallowed_methods)] // the sanctioned raw `lock`
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -109,7 +109,7 @@ pub use query::{
     NumericMode, PreparedRelation, PreparedState, ProbabilisticRelation, QueryBatch, QueryError,
     RankQuery, RankedResult, Semantics, TopSet, Values,
 };
-pub use shard::{ShardError, ShardHandle, ShardPool, ShardedRelation};
+pub use shard::{ShardError, ShardHandle, ShardedRelation};
 pub use spectrum::{crossing_point, prfe_spectrum, spectrum_endpoints, Crossing};
 pub use topk::{Ranking, ValueOrder};
 pub use tree::{

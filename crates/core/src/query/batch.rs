@@ -589,38 +589,17 @@ impl QueryBatch {
         // Per-entry finalization (value vector + ranking construction) is
         // independent O(n)–O(n·log n) work that dominates the post-walk
         // wall on multi-entry batches over large relations, so it fans out
-        // over scoped threads under the same opt-in contract as the
-        // shard-parallel walk (`parallel(t)` requested and every worker's
-        // share clearing the parallel floor). Results scatter back by
-        // entry index, so entry order is untouched.
-        let threads = crate::parallel::effective_walk_threads(n, self.threads).min(jobs.len());
-        let finalize = |bucket: Vec<FinalizeJob>| -> Vec<(usize, RankedResult)> {
-            bucket
-                .into_iter()
-                .map(|job| (job.0, self.finalize_shared(job, n, backend)))
-                .collect()
-        };
-        let finalized = if threads <= 1 {
-            finalize(jobs)
-        } else {
-            let mut buckets: Vec<Vec<FinalizeJob>> = (0..threads).map(|_| Vec::new()).collect();
-            for (j, job) in jobs.into_iter().enumerate() {
-                buckets[j % threads].push(job);
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| scope.spawn(|| finalize(bucket)))
-                    .collect();
-                // A finalize panic propagates exactly like the serial
-                // path's would (finalization is infallible assembly; a
-                // panic there is an internal bug, not an entry error).
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        };
+        // over threads under the same opt-in contract as the shard-parallel
+        // walk (`parallel(t)` requested and every worker's share clearing
+        // the parallel floor). Results come back in entry order; a finalize
+        // panic (an internal bug — finalization is infallible assembly)
+        // propagates exactly like the serial path's would.
+        let threads = crate::parallel::effective_walk_threads(n, self.threads);
+        let jobs: Vec<_> = jobs
+            .into_iter()
+            .map(|job| move || (job.0, self.finalize_shared(job, n, backend)))
+            .collect();
+        let finalized = crate::parallel::fork_join(threads, jobs);
         for (i, result) in finalized {
             outcomes[i] = Some(Ok(result));
         }

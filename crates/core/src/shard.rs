@@ -39,8 +39,8 @@
 //!
 //! # Execution
 //!
-//! [`ShardedRelation`] owns a persistent [`ShardPool`] of worker threads.
-//! A shared walk runs in two pool-parallel phases: **phase A** computes
+//! A [`ShardedRelation`] walk runs in two phases, each fanned out over up
+//! to `workers` threads by `parallel::fork_join`: **phase A** computes
 //! each shard's monoid elements (`G_k` coefficients, `G_k(α)` points,
 //! expected sizes — order-independent, no sort needed), a cheap serial
 //! fold turns them into exclusive prefix products (a balanced product
@@ -51,15 +51,14 @@
 //! [`QueryBatch`](crate::query::QueryBatch) and the `prf-serve` server
 //! work against a sharded relation exactly as against any other backend.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use prf_numeric::{Complex, GfValue, Poly, Scaled};
 use prf_pdb::{Tuple, TupleId};
 
 use crate::incremental::GfStats;
+use crate::parallel::fork_join;
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
 use crate::query::{CorrelationClass, PreparedState, ProbabilisticRelation};
 use crate::weights::{tabulate, TabulatedWeight, WeightFunction};
@@ -122,101 +121,6 @@ impl std::fmt::Display for ShardError {
 impl std::error::Error for ShardError {}
 
 // ---------------------------------------------------------------------
-// The persistent worker pool
-// ---------------------------------------------------------------------
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent pool of shard-walk workers.
-///
-/// Workers share one job queue behind a mutex; [`ShardPool::run`] fans a
-/// batch of closures out and gathers their results in submission order.
-/// Panics inside a job are caught on the worker (keeping it alive for the
-/// next walk) and re-raised on the submitting thread.
-pub struct ShardPool {
-    tx: Mutex<Option<mpsc::Sender<Job>>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ShardPool {
-    /// Spawns a pool of `workers.max(1)` threads.
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || loop {
-                    // Hold the queue lock only for the dequeue, never while
-                    // running a job.
-                    let job = crate::lock_recover(&rx).recv();
-                    match job {
-                        Ok(job) => job(),
-                        Err(_) => break, // pool dropped
-                    }
-                })
-            })
-            .collect();
-        ShardPool {
-            tx: Mutex::new(Some(tx)),
-            workers: handles,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn size(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Runs every job on the pool and returns their results in submission
-    /// order. Re-raises the first job panic on the caller.
-    pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let njobs = jobs.len();
-        let (out_tx, out_rx) = mpsc::channel();
-        {
-            let guard = crate::lock_recover(&self.tx);
-            let tx = guard.as_ref().expect("shard pool already shut down");
-            for (i, job) in jobs.into_iter().enumerate() {
-                let out = out_tx.clone();
-                tx.send(Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(job));
-                    let _ = out.send((i, result));
-                }))
-                .expect("shard workers alive");
-            }
-        }
-        drop(out_tx);
-        let mut slots: Vec<Option<T>> = (0..njobs).map(|_| None).collect();
-        for _ in 0..njobs {
-            let (i, result) = out_rx.recv().expect("shard worker delivered");
-            match result {
-                Ok(v) => slots[i] = Some(v),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every shard job reports"))
-            .collect()
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        // Closing the channel ends every worker's recv loop.
-        *crate::lock_recover(&self.tx) = None;
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Shifted weights: marginalizing the prefix into ω
 // ---------------------------------------------------------------------
 
@@ -269,7 +173,7 @@ fn is_identity_prefix(prefix: &[f64]) -> bool {
 
 /// Materializes the shifted weight of a *rank-only* `ω` as an explicit
 /// table `W[j−1] = Σ_a P[a]·ω(a+j)` of length `min(cap, n_loc)` — an
-/// owned, `Send + Sync` weight that pool workers can share, at tabulation
+/// owned, `Send + Sync` weight that concurrent shard walks can share, at tabulation
 /// cost `O(len·|P|)` (never more than the walk that consumes it).
 fn tabulate_shifted(
     omega: &(dyn WeightFunction + '_),
@@ -328,7 +232,7 @@ fn coeff_tournament(mut factors: Vec<Poly>, cap: usize) -> Poly {
 // ---------------------------------------------------------------------
 
 /// A relation assembled from score-contiguous, mutually independent
-/// shards, walked concurrently by a persistent worker pool and merged via
+/// shards, walked concurrently on up to `workers` threads and merged via
 /// the presence-GF monoid (module docs).
 ///
 /// Global tuple ids are shard-major: shard `k`'s local tuple `i` is global
@@ -360,7 +264,7 @@ fn coeff_tournament(mut factors: Vec<Poly>, cap: usize) -> Poly {
 /// ```
 pub struct ShardedRelation {
     shards: Vec<ShardHandle>,
-    pool: ShardPool,
+    workers: usize,
     generations: Mutex<GenTracker>,
 }
 
@@ -368,7 +272,7 @@ impl std::fmt::Debug for ShardedRelation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedRelation")
             .field("shards", &self.shards.len())
-            .field("workers", &self.pool.size())
+            .field("workers", &self.workers)
             .field("n_tuples", &self.n_tuples())
             .finish()
     }
@@ -392,7 +296,6 @@ struct ShardPre {
 }
 
 /// Per-shard prefix state handed to phase B.
-#[derive(Clone)]
 struct ShardPrefix {
     /// `P_k` coefficients (when any weight consumer needs them).
     coeffs: Option<Vec<f64>>,
@@ -408,7 +311,9 @@ struct ShardPrefix {
 
 impl ShardedRelation {
     /// Assembles a sharded relation over `shards` (highest-scored shard
-    /// first) with a persistent pool of `workers` walk threads.
+    /// first), walked on up to `workers` threads (clamped to at least 1)
+    /// per phase of each walk. Concurrent walks each get their own threads;
+    /// `workers` caps one walk, not the relation as a whole.
     ///
     /// Validates that every shard implements the presence-GF monoid hooks
     /// and that consecutive non-empty shards are score-contiguous
@@ -452,7 +357,7 @@ impl ShardedRelation {
         });
         Ok(ShardedRelation {
             shards,
-            pool: ShardPool::new(workers),
+            workers: workers.max(1),
             generations,
         })
     }
@@ -462,9 +367,9 @@ impl ShardedRelation {
         self.shards.len()
     }
 
-    /// Number of pool worker threads.
+    /// Threads each walk phase fans out over (at least 1).
     pub fn workers(&self) -> usize {
-        self.pool.size()
+        self.workers
     }
 
     /// Global id offsets per shard (exclusive prefix sums of shard sizes),
@@ -483,8 +388,8 @@ impl ShardedRelation {
     // Phase A: per-shard monoid elements + the prefix fold
     // -----------------------------------------------------------------
 
-    /// Computes every shard's monoid elements on the pool, then folds
-    /// them into exclusive prefix states.
+    /// Computes every shard's monoid elements on up to `workers` threads,
+    /// then folds them into exclusive prefix states.
     fn prefixes(
         &self,
         coeff_cap: Option<usize>,
@@ -495,8 +400,6 @@ impl ShardedRelation {
             .shards
             .iter()
             .map(|shard| {
-                let shard = Arc::clone(shard);
-                let alphas = alphas.to_vec();
                 move || ShardPre {
                     coeffs: coeff_cap.map(|cap| {
                         shard
@@ -519,7 +422,7 @@ impl ShardedRelation {
                 }
             })
             .collect();
-        let pres = self.pool.run(jobs);
+        let pres = fork_join(self.workers, jobs);
 
         let offsets = self.offsets();
         let c_total: f64 = pres.iter().map(|p| p.expected_size).sum();
@@ -605,7 +508,7 @@ impl ShardedRelation {
 
         let prefixes = self.prefixes(coeff_cap, &alphas, want_erank);
 
-        // Phase B: walk every non-empty shard on the pool.
+        // Phase B: walk every non-empty shard.
         let mut jobs = Vec::new();
         let mut job_shards = Vec::new();
         for (k, shard) in self.shards.iter().enumerate() {
@@ -613,25 +516,11 @@ impl ShardedRelation {
                 continue;
             }
             job_shards.push(k);
-            let shard = Arc::clone(shard);
-            let requests = spec.requests.clone();
-            let cancel = spec.cancel.clone();
-            let prefix = prefixes[k].clone();
-            let alpha_of_request = alpha_of_request.clone();
-            let prep = preps.and_then(|p| p.get(k).cloned());
-            jobs.push(move || {
-                shard_walk(
-                    &*shard,
-                    requests,
-                    cancel,
-                    prefix,
-                    &alpha_of_request,
-                    n,
-                    prep.as_deref(),
-                )
-            });
+            let (prefix, alpha_of_request) = (&prefixes[k], &alpha_of_request);
+            let prep = preps.and_then(|p| p.get(k)).map(|p| &**p);
+            jobs.push(move || shard_walk(&**shard, spec, prefix, alpha_of_request, n, prep));
         }
-        let outs = self.pool.run(jobs);
+        let outs = fork_join(self.workers, jobs);
 
         // Scatter local answers into the global tuple-id space.
         let mut answers = spec.answer_buffers(n);
@@ -658,17 +547,16 @@ impl ShardedRelation {
 /// One shard's phase-B work: map the requests through the prefix state,
 /// run the shard's own shared walk, post-process the scalar consumers, and
 /// hand back shard-local answers.
-#[allow(clippy::too_many_arguments)]
 fn shard_walk(
     shard: &(dyn ProbabilisticRelation + Send + Sync),
-    requests: Vec<SharedRequest>,
-    cancel: Option<crate::query::CancelToken>,
-    prefix: ShardPrefix,
+    spec: &SharedWalkSpec,
+    prefix: &ShardPrefix,
     alpha_of_request: &[Option<usize>],
     global_n: usize,
     prep: Option<&PreparedState>,
 ) -> Option<(Vec<SharedAnswer>, Option<GfStats>)> {
     let n_loc = shard.n_tuples();
+    let requests = &spec.requests;
     let local_requests: Vec<SharedRequest> = requests
         .iter()
         .map(|req| match req {
@@ -694,7 +582,7 @@ fn shard_walk(
     let local_spec = SharedWalkSpec {
         requests: local_requests,
         threads: None,
-        cancel,
+        cancel: spec.cancel.clone(),
     };
     // Cancelled (or declined): the merged walk cannot serve the batch.
     let out = shard.run_shared_walk(&local_spec, prep.unwrap_or(&PreparedState::empty()))?;
@@ -874,17 +762,29 @@ impl ProbabilisticRelation for ShardedRelation {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     use super::*;
-    use crate::query::{Algorithm, PreparedRelation, QueryBatch, RankQuery, Values};
+    use crate::query::{Algorithm, PreparedRelation, QueryBatch, QueryError, RankQuery, Values};
     use prf_pdb::IndependentDb;
 
-    /// A shard whose first `prepare()` panics — a stand-in for any bug in a
-    /// shard backend's preparation.
+    /// A shard whose first `prepare()` and/or first walk panics — a
+    /// stand-in for any bug in a shard backend.
     struct PanicsOnce {
         db: IndependentDb,
-        armed: AtomicBool,
+        prepare_armed: AtomicBool,
+        walk_armed: AtomicBool,
+    }
+
+    impl PanicsOnce {
+        fn new(pairs: &[(f64, f64)], prepare: bool, walk: bool) -> Self {
+            PanicsOnce {
+                db: IndependentDb::from_pairs(pairs.iter().copied()).unwrap(),
+                prepare_armed: AtomicBool::new(prepare),
+                walk_armed: AtomicBool::new(walk),
+            }
+        }
     }
 
     impl ProbabilisticRelation for PanicsOnce {
@@ -901,7 +801,7 @@ mod tests {
             CorrelationClass::Independent
         }
         fn prepare(&self) -> PreparedState {
-            if self.armed.swap(false, Ordering::SeqCst) {
+            if self.prepare_armed.swap(false, Ordering::SeqCst) {
                 panic!("injected shard prepare failure");
             }
             self.db.prepare()
@@ -911,6 +811,9 @@ mod tests {
             spec: &SharedWalkSpec,
             prep: &PreparedState,
         ) -> Option<SharedWalkOut> {
+            if self.walk_armed.swap(false, Ordering::SeqCst) {
+                panic!("injected shard walk failure");
+            }
             self.db.run_shared_walk(spec, prep)
         }
         fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
@@ -921,37 +824,23 @@ mod tests {
         }
     }
 
-    /// A panicking shard `prepare()` poisons the generation tracker's
-    /// mutex mid-update; the next `prepare()`, the generation read and a
-    /// batch must still succeed and match the unsharded relation.
-    #[test]
-    fn panicking_shard_prepare_does_not_disable_the_relation() {
-        let hi = [(10.0, 0.5), (9.0, 0.7), (8.0, 0.2)];
-        let lo = [(5.0, 0.9), (3.0, 0.4), (2.0, 0.6)];
-        let unsharded = IndependentDb::from_pairs(hi.iter().chain(&lo).copied()).unwrap();
-        let shards: Vec<ShardHandle> = vec![
-            Arc::new(IndependentDb::from_pairs(hi).unwrap()),
-            Arc::new(PanicsOnce {
-                db: IndependentDb::from_pairs(lo).unwrap(),
-                armed: AtomicBool::new(true),
-            }),
-        ];
-        let sharded = ShardedRelation::new(shards, 2).unwrap();
-        let hit = catch_unwind(AssertUnwindSafe(|| sharded.prepare()));
-        assert!(hit.is_err(), "the armed shard must panic");
-        assert!(sharded.generations.is_poisoned());
+    const HI: [(f64, f64); 3] = [(10.0, 0.5), (9.0, 0.7), (8.0, 0.2)];
+    const MID: [(f64, f64); 2] = [(7.0, 0.3), (6.0, 1.0)];
+    const LO: [(f64, f64); 3] = [(5.0, 0.9), (3.0, 0.4), (2.0, 0.6)];
 
-        let state = sharded.prepare();
-        assert_eq!(state.sharded_states().map(<[_]>::len), Some(2));
-        let prepared = PreparedRelation::new(Arc::new(sharded));
-        let batch = || {
-            QueryBatch::new()
-                .add_query(RankQuery::pt(2))
-                .add_query(RankQuery::prfe(0.8).algorithm(Algorithm::LogDomain))
-                .add_query(RankQuery::erank())
-        };
-        let got = batch().run(&prepared).unwrap();
-        let want = batch().run(&unsharded).unwrap();
+    /// PT, log-domain PRFe and E-Rank as one batch.
+    fn mixed_batch() -> QueryBatch {
+        QueryBatch::new()
+            .add_query(RankQuery::pt(2))
+            .add_query(RankQuery::prfe(0.8).algorithm(Algorithm::LogDomain))
+            .add_query(RankQuery::erank())
+    }
+
+    /// Runs [`mixed_batch`] on `rel` and on `unsharded`, and checks that
+    /// the rankings agree and the values agree at 1e-9.
+    fn assert_batch_matches(rel: &dyn ProbabilisticRelation, unsharded: &IndependentDb) {
+        let got = mixed_batch().run(rel).unwrap();
+        let want = mixed_batch().run(unsharded).unwrap();
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(
                 g.ranking.order(),
@@ -973,5 +862,54 @@ mod tests {
                 _ => panic!("value modes differ"),
             }
         }
+    }
+
+    /// A panicking shard `prepare()` poisons the generation tracker's
+    /// mutex mid-update; the next `prepare()`, the generation read and a
+    /// batch must still succeed and match the unsharded relation.
+    #[test]
+    fn panicking_shard_prepare_does_not_disable_the_relation() {
+        let unsharded = IndependentDb::from_pairs(HI.iter().chain(&LO).copied()).unwrap();
+        let shards: Vec<ShardHandle> = vec![
+            Arc::new(IndependentDb::from_pairs(HI).unwrap()),
+            Arc::new(PanicsOnce::new(&LO, true, false)),
+        ];
+        let sharded = ShardedRelation::new(shards, 2).unwrap();
+        let hit = catch_unwind(AssertUnwindSafe(|| sharded.prepare()));
+        assert!(hit.is_err(), "the armed shard must panic");
+        assert!(sharded.generations.is_poisoned());
+
+        let state = sharded.prepare();
+        assert_eq!(state.sharded_states().map(<[_]>::len), Some(2));
+        let prepared = PreparedRelation::new(Arc::new(sharded));
+        assert_batch_matches(&prepared, &unsharded);
+    }
+
+    /// A shard walk that panics on a worker thread reaches the caller with
+    /// its own message, and the relation answers the next batch exactly
+    /// like the unsharded relation.
+    #[test]
+    fn panicking_shard_walk_propagates_and_the_relation_survives() {
+        let unsharded =
+            IndependentDb::from_pairs(HI.iter().chain(&MID).chain(&LO).copied()).unwrap();
+        let shards: Vec<ShardHandle> = vec![
+            Arc::new(IndependentDb::from_pairs(HI).unwrap()),
+            Arc::new(PanicsOnce::new(&MID, false, true)),
+            Arc::new(IndependentDb::from_pairs(LO).unwrap()),
+        ];
+        let sharded = ShardedRelation::new(shards, 2).unwrap();
+        // One entry, so the isolated run reports the walk's own failure
+        // instead of retrying the entry alone.
+        let out = QueryBatch::new()
+            .add_query(RankQuery::pt(2))
+            .run_isolated(&sharded);
+        match &out[..] {
+            [Err(QueryError::Internal { reason })] => assert!(
+                reason.contains("injected shard walk failure"),
+                "reason: {reason}"
+            ),
+            other => panic!("expected the shard's panic, got {other:?}"),
+        }
+        assert_batch_matches(&sharded, &unsharded);
     }
 }

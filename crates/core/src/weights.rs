@@ -35,8 +35,8 @@ pub trait WeightFunction {
     /// `true` when the weight ignores its tuple argument (`ω(t, i) = ω(i)`).
     /// Rank-only weights can be materialised once with [`tabulate`] and
     /// shared across workers — [`crate::shard::ShardedRelation`] uses this
-    /// to route PRFω queries through its parallel pool. Conservative
-    /// default: `false` (tuple-dependent).
+    /// to tabulate each shard's prefix-shifted weight once per walk.
+    /// Conservative default: `false` (tuple-dependent).
     fn rank_only(&self) -> bool {
         false
     }

@@ -2,12 +2,18 @@
 //! inputs must fail loudly and early, and degenerate-but-valid inputs must
 //! produce sensible answers.
 
-use prf::core::{prf_rank, prfe_rank_log, Ranking, StepWeight, ValueOrder};
-use prf::pdb::{
-    AndXorTree, AttributeUncertainDb, IndependentDb, NodeKind, PdbError, TreeBuilder,
-    UncertainTuple,
+use prf::core::{
+    effective_walk_threads, prf_rank, prfe_rank_log, Ranking, StepWeight, ValueOrder,
+    WeightFunction, PARALLEL_MIN_SHARD_TUPLES,
 };
-use prf::prelude::{Algorithm, Complex, NumericMode, QueryBatch, QueryError, RankQuery, Semantics};
+use prf::pdb::{
+    AndXorTree, AttributeUncertainDb, IndependentDb, NodeKind, PdbError, TreeBuilder, Tuple,
+    TupleId, UncertainTuple,
+};
+use prf::prelude::{
+    Algorithm, Complex, NumericMode, ProbabilisticRelation, QueryBatch, QueryError, RankQuery,
+    Semantics,
+};
 
 // ---------------------------------------------------------------------
 // Invalid inputs
@@ -290,6 +296,52 @@ fn parallel_batch_on_single_tuple_relation() {
         .run(&db)
         .unwrap();
     assert!((results[0].values.as_complex().unwrap()[0].re - 0.25).abs() < 1e-12);
+}
+
+/// A tuple-dependent (not rank-only) PT(3)-style weight that panics on
+/// one tuple.
+struct PanicsOnTuple(TupleId);
+
+impl WeightFunction for PanicsOnTuple {
+    fn weight(&self, tuple: &Tuple, rank: usize) -> Complex {
+        assert!(tuple.id != self.0, "weight rejects tuple {}", self.0 .0);
+        if rank <= 3 {
+            Complex::ONE
+        } else {
+            Complex::ZERO
+        }
+    }
+    fn truncation(&self) -> Option<usize> {
+        Some(3)
+    }
+}
+
+#[test]
+fn parallel_tree_walk_panic_keeps_its_message() {
+    // Large enough that `.parallel(2)` really shards the walk over two
+    // threads.
+    let tree = prf::datasets::synthetic::syn_med_tree(2 * PARALLEL_MIN_SHARD_TUPLES, 3);
+    let n = tree.n_tuples();
+    assert_eq!(effective_walk_threads(n, Some(2)), 2, "n = {n} must shard");
+    // The top-scored possible tuple: its rank-1 probability is its
+    // marginal, so the walk must evaluate the weight on it.
+    let (scores, marginals) = (tree.tuple_scores(), tree.tuple_marginals());
+    let top = (0..n)
+        .filter(|&i| marginals[i] > 0.0)
+        .min_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)))
+        .expect("some tuple is possible");
+    let bad = TupleId(top as u32);
+    let out = QueryBatch::new()
+        .add_query(RankQuery::prf(PanicsOnTuple(bad)))
+        .parallel(2)
+        .run_isolated(&tree);
+    match &out[..] {
+        [Err(QueryError::Internal { reason })] => assert!(
+            reason.contains(&format!("weight rejects tuple {}", bad.0)),
+            "the original panic message is lost: {reason}"
+        ),
+        other => panic!("expected Internal, got {other:?}"),
+    }
 }
 
 #[test]
