@@ -191,7 +191,8 @@ fn bench_serve_latency_floor(c: &mut Criterion) {
     g.finish();
 }
 
-/// Deadline classes (serving v3): what per-query deadline tracking costs,
+/// Per-query deadlines (serving v3; the group keeps its original
+/// `serve_deadline_classes` ID): what per-query deadline tracking costs,
 /// and what an expired deadline saves.
 ///
 /// * `tracked_vs_plain` — the same zero-deadline PRF^e round-trip through

@@ -7,10 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use prf_core::tree::{
-    prf_rank_tree, prf_rank_tree_refold, prfe_rank_tree, prfe_rank_tree_recompute,
-    prfe_rank_tree_scaled,
-};
+use prf_core::tree::oracle::{prf_rank_tree_refold, prfe_rank_tree_recompute};
+use prf_core::tree::{prf_rank_tree, prfe_rank_tree, prfe_rank_tree_scaled};
 use prf_core::weights::StepWeight;
 use prf_core::xtuple::prf_omega_rank_xtuple;
 use prf_datasets::{syn_med_tree, syn_xor_tree};

@@ -54,8 +54,8 @@
 //!   into the cached score order, marginals, compiled plan, and log-domain
 //!   keys, with generation counters for stale-cache invalidation;
 //! * [`tree`] — Algorithms 2 and 3 on and/xor trees as walks of the
-//!   incremental engine (full-refold oracles retained); expected ranks via
-//!   dual numbers;
+//!   incremental engine (full-refold oracles in [`tree::oracle`]);
+//!   expected ranks via dual numbers;
 //! * [`xtuple`] — `O(n·h·log n)` PRFω(h) on x-tuples by a division-free
 //!   divide-and-conquer over the score sweep;
 //! * [`shard`] — sharded relations: score-contiguous shards walked
@@ -113,8 +113,8 @@ pub use shard::{ShardError, ShardHandle, ShardedRelation};
 pub use spectrum::{crossing_point, prfe_spectrum, spectrum_endpoints, Crossing};
 pub use topk::{Ranking, ValueOrder};
 pub use tree::{
-    expected_ranks_tree, prf_rank_tree, prf_rank_tree_interp, prf_rank_tree_refold, prfe_rank_tree,
-    prfe_rank_tree_recompute, prfe_rank_tree_scaled, rank_distributions_tree,
+    expected_ranks_tree, prf_rank_tree, prfe_rank_tree, prfe_rank_tree_scaled,
+    rank_distributions_tree,
 };
 pub use weights::{
     ConstantWeight, DcgWeight, ExponentialWeight, LinearWeight, PositionWeight, ScoreWeight,

@@ -347,7 +347,7 @@ pub struct TopSet {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushTrigger {
     /// The oldest pending query reached the configured deadline (a zero
-    /// deadline flushes on the first wake-up after every submission).
+    /// deadline flushes at every admission).
     Deadline,
     /// The pending queue reached the configured maximum batch size.
     SizeLimit,

@@ -59,8 +59,9 @@ enum Inner {
     /// its closed-form kernels repeat per call).
     Independent(Vec<TupleId>),
     /// Sharded relation: one prepared state per shard, in shard order.
-    /// `Arc`-wrapped so shard-worker jobs (which need `'static` captures)
-    /// can share them without cloning a compiled plan.
+    /// `Arc`-wrapped so a re-preparation reuses the unchanged shards'
+    /// states by handle (the sharded relation's generation tracker keeps
+    /// them) and rebuilds only the shards whose generation moved.
     Sharded(Vec<Arc<PreparedState>>),
 }
 

@@ -14,30 +14,30 @@
 //! 1. [`prf_rank_tree`] — truncated bivariate polynomials
 //!    ([`RankPoly`]): exact PRFω(h)/PT(h) on arbitrary trees in
 //!    `O(depth·log fanout·h)` ring work per tuple instead of the
-//!    `O(n·h)`-per-tuple full refold (Algorithm 2), which is retained as
-//!    [`prf_rank_tree_refold`] — the differential-test oracle and the
-//!    ablation baseline;
+//!    `O(n·h)`-per-tuple full refold (Algorithm 2);
 //! 2. [`prfe_rank_tree`] — scalars wrapped in [`YLin`] (ANDXOR-PRFe-RANK,
 //!    Algorithm 3, made division-free): `O(Σᵢ dᵢ + n log n)` total, generic
 //!    over any [`GfValue`] scalar — plain/complex, [`Scaled`], or dual
-//!    numbers — with [`prfe_rank_tree_recompute`] as the full-refold
-//!    oracle;
-//! 3. [`prf_rank_tree_interp`] — evaluate the tree at the roots of unity
-//!    and recover coefficients with one inverse FFT per tuple
-//!    (Appendix B.2);
-//! 4. [`expected_ranks_tree`] — the same machinery over dual numbers for
+//!    numbers;
+//! 3. [`expected_ranks_tree`] — the same machinery over dual numbers for
 //!    expected ranks (Cormode et al.) on correlated data.
 //!
-//! The query engine reaches all of them through one shared walk (section 5
+//! The query engine reaches all of them through one shared walk (section 4
 //! below), whose evaluator memory accounting ([`GfStats`]) surfaces in the
 //! engine's `EvalReport`.
+//!
+//! The from-scratch versions live in [`oracle`]: the literal Algorithm 2
+//! ([`oracle::prf_rank_tree_refold`]), the PRFe recompute
+//! ([`oracle::prfe_rank_tree_recompute`]) and the roots-of-unity
+//! interpolation of Appendix B.2 ([`oracle::prf_rank_tree_interp`]). Tests
+//! and benches compare the engine against them; no evaluation path calls
+//! them.
 
 #![allow(clippy::needless_range_loop)] // index loops pair several parallel arrays
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use prf_numeric::fft::interpolate_from_roots_of_unity;
 use prf_numeric::{Complex, Dual, GfValue, RankPoly, Scaled, YLin};
 use prf_pdb::tuple::sort_indices_by_score_desc;
 use prf_pdb::{AndXorTree, Tuple, TupleId};
@@ -46,6 +46,8 @@ use crate::incremental::{EvalPlan, GfStats, IncrementalGf};
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
 use crate::query::PreparedState;
 use crate::weights::WeightFunction;
+
+pub mod oracle;
 
 /// Tuple processing order (score descending, id ascending) and its inverse
 /// permutation, shared by all tree algorithms. Public so that callers that
@@ -117,7 +119,7 @@ pub(crate) fn upsilon_from_gf(
 }
 
 // ---------------------------------------------------------------------
-// 1. Symbolic expansion (Algorithm 2), incremental and full-refold
+// 1. Symbolic expansion (Algorithm 2), incremental
 // ---------------------------------------------------------------------
 
 /// Υ values for every tuple of a correlated relation under an arbitrary PRF
@@ -127,8 +129,8 @@ pub(crate) fn upsilon_from_gf(
 ///
 /// Respects [`WeightFunction::truncation`]: PT(h)/PRFω(h)/U-Rank only expand
 /// the first `h` coefficients. Agreement with the literal Algorithm 2
-/// ([`prf_rank_tree_refold`]) is enforced to 1e-9 by the differential suite
-/// in `tests/incremental_engine.rs`.
+/// ([`oracle::prf_rank_tree_refold`]) is enforced to 1e-9 by the
+/// differential suite in `tests/incremental_engine.rs`.
 pub fn prf_rank_tree(tree: &AndXorTree, omega: &dyn WeightFunction) -> Vec<Complex> {
     let n = tree.n_tuples();
     let mut out = vec![Complex::ZERO; n];
@@ -147,38 +149,6 @@ pub fn prf_rank_tree(tree: &AndXorTree, omega: &dyn WeightFunction) -> Vec<Compl
         inc.set_leaf(t, RankPoly::y().with_cap(cap));
         let tv = tuple_view(tree, &prep.marginals, t);
         out[t.index()] = upsilon_from_gf(inc.root(), &tv, omega, cap);
-    }
-    out
-}
-
-/// The literal Algorithm 2: one full bottom-up refold of the entire tree
-/// per tuple — `O(n²)`–`O(n²·h)` total. Retained as the differential-test
-/// oracle for [`prf_rank_tree`] and as the ablation baseline the
-/// `trees` criterion bench measures the incremental engine against.
-pub fn prf_rank_tree_refold(tree: &AndXorTree, omega: &dyn WeightFunction) -> Vec<Complex> {
-    let n = tree.n_tuples();
-    let mut out = vec![Complex::ZERO; n];
-    if n == 0 {
-        return out;
-    }
-    let cap = omega.truncation().unwrap_or(n).min(n);
-    if cap == 0 {
-        return out;
-    }
-    let (order, pos) = score_order(tree);
-    let marginals = tree.marginals();
-    for (i, &t) in order.iter().enumerate() {
-        let gf = tree.generating_function(|u| {
-            if u == t {
-                RankPoly::y().with_cap(cap)
-            } else if pos[u.index()] < i {
-                RankPoly::x().with_cap(cap)
-            } else {
-                RankPoly::one().with_cap(cap)
-            }
-        });
-        let tv = tuple_view(tree, &marginals, t);
-        out[t.index()] = upsilon_from_gf(&gf, &tv, omega, cap);
     }
     out
 }
@@ -205,55 +175,7 @@ pub fn rank_distributions_tree(tree: &AndXorTree) -> Vec<Vec<f64>> {
 }
 
 // ---------------------------------------------------------------------
-// 2. Roots-of-unity interpolation (Appendix B.2)
-// ---------------------------------------------------------------------
-
-/// Like [`prf_rank_tree`], but expands each `B(x)` by evaluating the tree at
-/// the `m`-th roots of unity (`m` = next power of two `> n`) and applying one
-/// inverse FFT — `O(n)` per evaluation point, `O(n²)` per tuple regardless of
-/// tree shape (Appendix B.2, "Algorithm 2").
-pub fn prf_rank_tree_interp(tree: &AndXorTree, omega: &dyn WeightFunction) -> Vec<Complex> {
-    let n = tree.n_tuples();
-    let mut out = vec![Complex::ZERO; n];
-    if n == 0 {
-        return out;
-    }
-    let (order, pos) = score_order(tree);
-    let marginals = tree.marginals();
-    let m = (n + 1).next_power_of_two();
-    // Precompute the m-th roots of unity ω^k (forward orientation e^{+2πi/m},
-    // matching interpolate_from_roots_of_unity).
-    let roots: Vec<Complex> = (0..m)
-        .map(|k| Complex::cis(2.0 * std::f64::consts::PI * k as f64 / m as f64))
-        .collect();
-    let h = omega.truncation().unwrap_or(n).min(n);
-    let mut bvals = vec![Complex::ZERO; m];
-    for (i, &t) in order.iter().enumerate() {
-        for (k, &x) in roots.iter().enumerate() {
-            let v: YLin<Complex> = tree.generating_function(|u| {
-                if u == t {
-                    YLin::y()
-                } else if pos[u.index()] < i {
-                    YLin::pure(x)
-                } else {
-                    YLin::<Complex>::one()
-                }
-            });
-            bvals[k] = v.b;
-        }
-        let coeffs = interpolate_from_roots_of_unity(&bvals);
-        let tv = tuple_view(tree, &marginals, t);
-        let mut ups = Complex::ZERO;
-        for (j0, &c) in coeffs.iter().enumerate().take(h) {
-            ups += omega.weight(&tv, j0 + 1) * c;
-        }
-        out[t.index()] = ups;
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// 3. Incremental PRFe (Algorithm 3, division-free)
+// 2. Incremental PRFe (Algorithm 3, division-free)
 // ---------------------------------------------------------------------
 
 /// PRFe(α) over an and/xor tree — ANDXOR-PRFe-RANK (Algorithm 3) on the
@@ -298,34 +220,8 @@ pub fn prfe_rank_tree_scaled(tree: &AndXorTree, alpha: Complex) -> Vec<Scaled<Co
     prfe_rank_tree(tree, Scaled::new(alpha))
 }
 
-/// Recompute-from-scratch PRFe on a tree: one full `O(node count)` fold per
-/// tuple using [`YLin`] values. `O(n²)` total — the full-refold oracle that
-/// the incremental engine is differential-tested (and benchmarked) against.
-pub fn prfe_rank_tree_recompute(tree: &AndXorTree, alpha: Complex) -> Vec<Complex> {
-    let n = tree.n_tuples();
-    let mut out = vec![Complex::ZERO; n];
-    if n == 0 {
-        return out;
-    }
-    let (order, pos) = score_order(tree);
-    for (i, &t) in order.iter().enumerate() {
-        let v: YLin<Complex> = tree.generating_function(|u| {
-            if u == t {
-                YLin::y()
-            } else if pos[u.index()] < i {
-                YLin::pure(alpha)
-            } else {
-                YLin::<Complex>::one()
-            }
-        });
-        // Υ = B(α)·α.
-        out[t.index()] = v.b * alpha;
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
-// 4. Expected ranks on trees (dual numbers)
+// 3. Expected ranks on trees (dual numbers)
 // ---------------------------------------------------------------------
 
 /// Expected ranks over an and/xor tree, in `O(Σᵢ dᵢ + n log n)`:
@@ -359,7 +255,7 @@ pub fn expected_ranks_tree(tree: &AndXorTree) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------
-// 5. Batched multi-query walk (one score order, one plan, one pass)
+// 4. Batched multi-query walk (one score order, one plan, one pass)
 // ---------------------------------------------------------------------
 
 /// The parsed consumer set of a batched walk: which
@@ -797,6 +693,7 @@ pub(crate) fn batch_walk_tree(
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::*;
     use super::*;
     use crate::weights::*;
     use prf_pdb::{IndependentDb, NodeKind, TreeBuilder};

@@ -51,13 +51,12 @@
 //!   state before anything is served from it, poisoned locks are recovered
 //!   and counted, and a **supervisor** thread respawns dead flush workers
 //!   and compensates stuck ones ([`ServeConfig::stuck_after`]);
-//! * submissions can carry **per-query deadlines and priority classes**
+//! * submissions can carry **per-query deadlines**
 //!   ([`RankServer::submit_with`] + [`SubmitOptions`]): an expired query is
 //!   shed with [`prf_core::query::QueryError::TimedOut`] *without being
 //!   evaluated*, in-flight walks abandon it at the next cooperative
-//!   cancellation check, dropping its [`ResponseHandle`] cancels the same
-//!   way, and [`Priority::Bulk`] traffic waits on its own longer cadence
-//!   ([`ServeConfig::bulk_delay`]) instead of dictating the latency class's;
+//!   cancellation check, and dropping its [`ResponseHandle`] cancels the
+//!   same way;
 //! * each relation carries a **result cache**: queries that canonicalize
 //!   to a [`prf_core::query::QueryKey`] are remembered per relation
 //!   generation and served on repeat *without joining a walk*
@@ -114,7 +113,7 @@ mod supervisor;
 pub use fault::{FaultKind, FaultPlan};
 pub use handle::{MutationHandle, QueryId, RankingDelta, ResponseHandle, SubscriptionHandle};
 pub use server::{
-    Priority, RankServer, RelationId, ServeConfig, ServeMetrics, SharedRelation, SubmitOptions,
+    RankServer, RelationId, ServeConfig, ServeMetrics, SharedRelation, SubmitOptions,
 };
 
 // Re-exported so serving code can name its whole vocabulary from one crate.

@@ -10,9 +10,9 @@
 //!   queue (bounded when [`ServeConfig::max_pending`] is set — `submit`
 //!   then applies *backpressure* by blocking until space frees,
 //!   `try_submit` *sheds* with [`QueryError::Overloaded`]). A submission
-//!   that completes a size trigger — or arrives under a zero deadline —
-//!   enqueues the flush itself, so the fast path hands work straight to a
-//!   worker without a scheduler hop.
+//!   that completes a size trigger — or finds its relation's deadline
+//!   passed, as under a zero deadline — enqueues the flush itself, so the
+//!   fast path hands work straight to a worker without a scheduler hop.
 //! - The **scheduler** thread only computes deadlines: it sleeps until the
 //!   earliest pending deadline, moves due queues onto the work queue, and
 //!   never executes a flush itself.
@@ -46,14 +46,13 @@
 //! are compensated with a fresh worker. [`ServeMetrics`] exposes
 //! [`ServeMetrics::panics_caught`] and [`ServeMetrics::workers_respawned`].
 //!
-//! # Deadline classes
+//! # Deadlines
 //!
-//! [`RankServer::submit_with`] attaches [`SubmitOptions`]: a per-query
-//! **deadline** and a **priority class**. [`Priority::Latency`] traffic
-//! flushes on [`ServeConfig::max_delay`]; [`Priority::Bulk`] traffic waits
-//! in a second queue for the (longer) [`ServeConfig::bulk_delay`] cadence
-//! and piggybacks on latency flushes already due. A query whose deadline
-//! expires before a worker dequeues it is shed with
+//! Each relation has one pending queue and one flush rule: it flushes once its queued queries plus
+//! mutations reach [`ServeConfig::max_batch`], or once its oldest entry
+//! has waited [`ServeConfig::max_delay`]. [`RankServer::submit_with`]
+//! attaches [`SubmitOptions`]: a per-query **deadline**. A query whose
+//! deadline expires before a worker dequeues it is shed with
 //! [`QueryError::TimedOut`] **without being evaluated**; mid-walk, the
 //! deadline is checked cooperatively by the batch kernels. Dropping a
 //! tracked [`ResponseHandle`] trips the same cancellation token.
@@ -130,15 +129,14 @@ pub(crate) fn lock_recover<'a, T>(m: &'a Mutex<T>, poisoned: &AtomicU64) -> Mute
 
 /// Tuning knobs of a [`RankServer`].
 ///
-/// The defaults (2 ms deadline, 20 ms bulk deadline, 64-query batches, 2
-/// flush workers, unbounded queues, serial walks, 30 s stuck detection)
+/// The defaults (2 ms deadline, 64-query batches, 2 flush workers,
+/// unbounded queues, serial walks, 30 s stuck detection)
 /// suit a latency-sensitive serving mix; a zero [`ServeConfig::max_delay`]
 /// turns the server into an immediate dispatcher that still batches
 /// whatever has accumulated since a worker last took the queue.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     pub(crate) max_delay: Duration,
-    pub(crate) bulk_delay: Duration,
     pub(crate) max_batch: usize,
     pub(crate) threads: Option<usize>,
     pub(crate) workers: usize,
@@ -152,7 +150,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_delay: Duration::from_millis(2),
-            bulk_delay: Duration::from_millis(20),
             max_batch: 64,
             threads: None,
             workers: 2,
@@ -171,24 +168,16 @@ impl ServeConfig {
         ServeConfig::default()
     }
 
-    /// How long the oldest pending [`Priority::Latency`] query may wait
-    /// before its relation's queue is flushed. Zero flushes on admission.
+    /// How long the oldest pending query, mutation or initial snapshot may
+    /// wait before its relation's queue is flushed. Zero flushes on
+    /// admission.
     pub fn max_delay(mut self, deadline: Duration) -> Self {
         self.max_delay = deadline;
         self
     }
 
-    /// How long the oldest pending [`Priority::Bulk`] query may wait before
-    /// its relation's bulk queue is flushed (default 20 ms). Bulk queries
-    /// also piggyback on any flush of their relation once this deadline has
-    /// passed, so the two classes share walks without sharing a cadence.
-    pub fn bulk_delay(mut self, deadline: Duration) -> Self {
-        self.bulk_delay = deadline;
-        self
-    }
-
-    /// Queue size that triggers an immediate flush, regardless of the
-    /// deadline (clamped to at least 1). Applies to each class queue.
+    /// Queued queries plus queued mutations that trigger an immediate
+    /// flush, regardless of the deadline (clamped to at least 1).
     pub fn max_batch(mut self, size: usize) -> Self {
         self.max_batch = size.max(1);
         self
@@ -210,8 +199,8 @@ impl ServeConfig {
         self
     }
 
-    /// Bounds every relation's pending queue to `cap` queries per class
-    /// (clamped to at least 1) — the admission-control knob. At the bound,
+    /// Bounds every relation's pending queue to `cap` queries (clamped to
+    /// at least 1) — the admission-control knob. At the bound,
     /// [`RankServer::submit`] blocks until a flush frees space
     /// (backpressure) and [`RankServer::try_submit`] sheds with
     /// [`QueryError::Overloaded`]. The default is unbounded.
@@ -248,21 +237,8 @@ impl ServeConfig {
     }
 }
 
-/// Scheduling class of one submission (see [`SubmitOptions::priority`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Priority {
-    /// Flushes on [`ServeConfig::max_delay`] — the default, and the class
-    /// of every [`RankServer::submit`] call.
-    #[default]
-    Latency,
-    /// Waits in a separate queue for [`ServeConfig::bulk_delay`]; joins a
-    /// flush only once that longer deadline has passed. Analytics traffic
-    /// in this class stops dictating the latency class's cadence.
-    Bulk,
-}
-
 /// Per-submission options for [`RankServer::submit_with`] /
-/// [`RankServer::try_submit_with`]: a deadline and a priority class.
+/// [`RankServer::try_submit_with`]: a deadline.
 ///
 /// Every submission made through these carries a cancellation token:
 /// dropping the returned [`ResponseHandle`] trips it, and an expired
@@ -273,24 +249,13 @@ pub enum Priority {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SubmitOptions {
     deadline: Option<Duration>,
-    priority: Priority,
 }
 
 impl SubmitOptions {
-    /// Default options: no deadline, [`Priority::Latency`] — but tracked
-    /// by a cancellation token (unlike plain [`RankServer::submit`]).
+    /// Default options: no deadline — but tracked by a cancellation token
+    /// (unlike plain [`RankServer::submit`]).
     pub fn new() -> Self {
         SubmitOptions::default()
-    }
-
-    /// Shorthand for the latency class.
-    pub fn latency() -> Self {
-        SubmitOptions::default()
-    }
-
-    /// Shorthand for the bulk class.
-    pub fn bulk() -> Self {
-        SubmitOptions::default().priority(Priority::Bulk)
     }
 
     /// Sheds the query with [`QueryError::TimedOut`] if it has not been
@@ -298,12 +263,6 @@ impl SubmitOptions {
     /// at the next cooperative cancellation check).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// The scheduling class (default [`Priority::Latency`]).
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
         self
     }
 }
@@ -323,7 +282,7 @@ impl std::fmt::Display for RelationId {
 /// all registered relations (see [`RankServer::metrics`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
-    /// Queries waiting in pending queues right now (both classes).
+    /// Queries waiting in pending queues right now.
     pub pending: usize,
     /// Relations with a flush currently executing on a worker.
     pub in_flight: usize,
@@ -374,7 +333,6 @@ struct Pending {
     /// Queue depth at admission, including this query — the backpressure
     /// signal stamped into [`ServeCost::queue_depth`].
     depth_at_admit: usize,
-    class: Priority,
     /// Set when an interrupted flush put this entry back on its queue —
     /// a second interruption resolves it with [`QueryError::Internal`]
     /// instead of re-queueing forever.
@@ -510,11 +468,8 @@ struct Slot {
     /// The mutation entry point of a live relation ([`RankServer::apply`]
     /// rejects mutations when `None`).
     live: Option<Arc<dyn LiveApply>>,
-    /// [`Priority::Latency`] submissions, in admission order.
+    /// Query submissions, in admission order.
     queue: Vec<Pending>,
-    /// [`Priority::Bulk`] submissions, in admission order — flushed on
-    /// their own (longer) cadence.
-    bulk: Vec<Pending>,
     /// Mutations awaiting the next flush, in submission order.
     muts: Vec<PendingMut>,
     /// Standing queries registered on this relation.
@@ -542,24 +497,71 @@ struct Slot {
     cache: Arc<Mutex<ResultCache>>,
 }
 
+/// What [`Slot::flush_due`] decides for a relation at one instant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FlushDue {
+    /// Nothing is pending.
+    Idle,
+    /// Flush now, for this reason.
+    Now(FlushTrigger),
+    /// Nothing to do before this instant.
+    At(Instant),
+}
+
 impl Slot {
+    /// An empty slot: nothing queued, no subscribers, zeroed counters.
+    fn new(
+        name: String,
+        rel: SharedRelation,
+        live: Option<Arc<dyn LiveApply>>,
+        cache_entries: usize,
+    ) -> Self {
+        Slot {
+            name,
+            rel,
+            live,
+            queue: Vec::new(),
+            muts: Vec::new(),
+            subs: Vec::new(),
+            sync_since: None,
+            in_flight: false,
+            shed: 0,
+            flushes: 0,
+            flushed_queries: 0,
+            mutations_applied: 0,
+            deltas_pushed: 0,
+            cache: Arc::new(Mutex::new(ResultCache::new(cache_entries))),
+        }
+    }
+
     /// Whether this slot has work that must eventually flush.
     fn due(&self) -> bool {
-        !self.queue.is_empty()
-            || !self.bulk.is_empty()
-            || !self.muts.is_empty()
-            || self.sync_since.is_some()
+        self.anchor().is_some()
     }
 
-    /// Queued latency queries plus queued mutations — the latency-class
-    /// size-trigger load.
-    fn load(&self) -> usize {
-        self.queue.len() + self.muts.len()
+    /// The one flush rule, shared by admission and the scheduler: flush
+    /// with [`FlushTrigger::SizeLimit`] once queued queries plus queued
+    /// mutations reach [`ServeConfig::max_batch`], with
+    /// [`FlushTrigger::Deadline`] once the anchor is
+    /// [`ServeConfig::max_delay`] old, and otherwise not before that
+    /// deadline. The FIFO latch is the caller's to check.
+    fn flush_due(&self, config: &ServeConfig, now: Instant) -> FlushDue {
+        let Some(anchor) = self.anchor() else {
+            return FlushDue::Idle;
+        };
+        if self.queue.len() + self.muts.len() >= config.max_batch {
+            return FlushDue::Now(FlushTrigger::SizeLimit);
+        }
+        let due = anchor + config.max_delay;
+        if due <= now {
+            FlushDue::Now(FlushTrigger::Deadline)
+        } else {
+            FlushDue::At(due)
+        }
     }
 
-    /// The earliest admission instant among queued latency queries, queued
-    /// mutations, and a pending initial snapshot — the latency deadline
-    /// anchor. Bulk queries have their own anchor ([`Slot::bulk_due_at`]).
+    /// The earliest admission instant among queued queries, queued
+    /// mutations, and a pending initial snapshot — the deadline anchor.
     fn anchor(&self) -> Option<Instant> {
         let mut anchor: Option<Instant> = None;
         let candidates = self
@@ -573,19 +575,6 @@ impl Slot {
             anchor = Some(anchor.map_or(t, |a| a.min(t)));
         }
         anchor
-    }
-
-    /// When the oldest bulk query's cadence deadline passes, if any.
-    fn bulk_due_at(&self, bulk_delay: Duration) -> Option<Instant> {
-        self.bulk.first().map(|p| p.submitted_at + bulk_delay)
-    }
-
-    /// Whether a flush taken *now* should carry the bulk queue along.
-    fn take_bulk_now(&self, config: &ServeConfig, now: Instant) -> bool {
-        self.bulk.len() >= config.max_batch
-            || self
-                .bulk_due_at(config.bulk_delay)
-                .is_some_and(|d| d <= now)
     }
 }
 
@@ -734,13 +723,12 @@ impl Shared {
     }
 }
 
-/// Moves `slot`'s queues onto the work queue as one flush (setting the
-/// FIFO latch): latency queries and mutations always, bulk queries only
-/// when `take_bulk` (their own cadence is due). Standing queries are
-/// snapshotted into the flush when it carries mutations — their rankings
-/// may change — or when a new subscriber awaits its initial snapshot.
-/// Callers have checked the trigger and the latch.
-fn take_flush(state: &mut State, slot_idx: usize, trigger: FlushTrigger, take_bulk: bool) {
+/// Moves `slot`'s queries and mutations onto the work queue as one flush
+/// (setting the FIFO latch). Standing queries are snapshotted into the
+/// flush when it carries mutations — their rankings may change — or when
+/// a new subscriber awaits its initial snapshot. Callers have checked the
+/// trigger and the latch.
+fn take_flush(state: &mut State, slot_idx: usize, trigger: FlushTrigger) {
     let slot = &mut state.slots[slot_idx];
     debug_assert!(!slot.in_flight && slot.due());
     slot.in_flight = true;
@@ -760,15 +748,11 @@ fn take_flush(state: &mut State, slot_idx: usize, trigger: FlushTrigger, take_bu
     } else {
         Vec::new()
     };
-    let mut pending = std::mem::take(&mut slot.queue);
-    if take_bulk {
-        pending.append(&mut slot.bulk);
-    }
     let work = FlushWork {
         slot: slot_idx,
         rel: Arc::clone(&slot.rel),
         live: slot.live.clone(),
-        pending,
+        pending: std::mem::take(&mut slot.queue),
         muts,
         subs,
         trigger,
@@ -778,26 +762,18 @@ fn take_flush(state: &mut State, slot_idx: usize, trigger: FlushTrigger, take_bu
     state.work.push_back(work);
 }
 
-/// The admission-side flush trigger: mirrors the scheduler's immediate
-/// conditions so a submission that completes one enqueues the flush itself
-/// — no scheduler hop between admission and a worker. A latched relation
-/// leaves the re-check to its worker's completion (which wakes the
-/// scheduler).
+/// The admission-side flush trigger: applies the scheduler's rule
+/// ([`Slot::flush_due`]) so a submission that makes its relation due
+/// enqueues the flush itself — no scheduler hop between admission and a
+/// worker. A latched relation leaves the re-check to its worker's
+/// completion (which wakes the scheduler).
 fn maybe_flush(state: &mut State, slot_idx: usize, config: &ServeConfig) {
     let slot = &state.slots[slot_idx];
-    if slot.in_flight || !slot.due() {
+    if slot.in_flight {
         return;
     }
-    let now = Instant::now();
-    let take_bulk = slot.take_bulk_now(config, now);
-    if slot.load() >= config.max_batch || slot.bulk.len() >= config.max_batch {
-        take_flush(state, slot_idx, FlushTrigger::SizeLimit, take_bulk);
-    } else if config.max_delay.is_zero()
-        && (!slot.queue.is_empty() || !slot.muts.is_empty() || slot.sync_since.is_some())
-    {
-        take_flush(state, slot_idx, FlushTrigger::Deadline, take_bulk);
-    } else if config.bulk_delay.is_zero() && !slot.bulk.is_empty() {
-        take_flush(state, slot_idx, FlushTrigger::Deadline, true);
+    if let FlushDue::Now(trigger) = slot.flush_due(config, Instant::now()) {
+        take_flush(state, slot_idx, trigger);
     }
 }
 
@@ -952,25 +928,8 @@ impl RankServer {
         live: Option<Arc<dyn LiveApply>>,
     ) -> RelationId {
         let mut state = self.shared.lock();
-        state.slots.push(Slot {
-            name,
-            rel,
-            live,
-            queue: Vec::new(),
-            bulk: Vec::new(),
-            muts: Vec::new(),
-            subs: Vec::new(),
-            sync_since: None,
-            in_flight: false,
-            shed: 0,
-            flushes: 0,
-            flushed_queries: 0,
-            mutations_applied: 0,
-            deltas_pushed: 0,
-            cache: Arc::new(Mutex::new(ResultCache::new(
-                self.shared.config.cache_entries,
-            ))),
-        });
+        let cache_entries = self.shared.config.cache_entries;
+        state.slots.push(Slot::new(name, rel, live, cache_entries));
         RelationId(state.slots.len() - 1)
     }
 
@@ -1018,9 +977,9 @@ impl RankServer {
 
     /// Like [`RankServer::submit`], with per-submission [`SubmitOptions`]:
     /// a deadline (expired ⇒ shed with [`QueryError::TimedOut`] at
-    /// dequeue, without evaluation) and a [`Priority`] class. Submissions
-    /// made this way are **tracked**: dropping the returned handle cancels
-    /// the query the same way an expired deadline does.
+    /// dequeue, without evaluation). Submissions made this way are
+    /// **tracked**: dropping the returned handle cancels the query the same
+    /// way an expired deadline does.
     pub fn submit_with(
         &self,
         relation: RelationId,
@@ -1051,16 +1010,10 @@ impl RankServer {
         if matches!(self.shared.chaos("admit"), Some(FaultAction::Overload)) {
             return Err(QueryError::Overloaded);
         }
-        let (cancel, class) = match &opts {
-            Some(o) => {
-                let token = match o.deadline {
-                    Some(d) => CancelToken::with_deadline(Instant::now() + d),
-                    None => CancelToken::new(),
-                };
-                (Some(token), o.priority)
-            }
-            None => (None, Priority::Latency),
-        };
+        let cancel = opts.map(|o| match o.deadline {
+            Some(d) => CancelToken::with_deadline(Instant::now() + d),
+            None => CancelToken::new(),
+        });
         let query = match &cancel {
             Some(token) => query.cancel_token(token.clone()),
             None => query,
@@ -1075,12 +1028,8 @@ impl RankServer {
             let slot = state.slots.get_mut(relation.0).ok_or_else(|| {
                 QueryError::InvalidParameter(format!("unknown relation {relation}"))
             })?;
-            let depth = match class {
-                Priority::Latency => slot.queue.len(),
-                Priority::Bulk => slot.bulk.len(),
-            };
             match self.shared.config.max_pending {
-                Some(cap) if depth >= cap => {
+                Some(cap) if slot.queue.len() >= cap => {
                     if !block {
                         slot.shed += 1;
                         return Err(QueryError::Overloaded);
@@ -1092,17 +1041,12 @@ impl RankServer {
                 _ => break,
             }
         }
-        let slot = &mut state.slots[relation.0];
-        let target = match class {
-            Priority::Latency => &mut slot.queue,
-            Priority::Bulk => &mut slot.bulk,
-        };
-        let depth_at_admit = target.len() + 1;
-        target.push(Pending {
+        let queue = &mut state.slots[relation.0].queue;
+        let depth_at_admit = queue.len() + 1;
+        queue.push(Pending {
             query,
             submitted_at: Instant::now(),
             depth_at_admit,
-            class,
             requeued: false,
             tx,
         });
@@ -1229,15 +1173,10 @@ impl RankServer {
         Ok(SubscriptionHandle::new(id, rx, Some(unsubscribe)))
     }
 
-    /// Number of queries currently waiting in the pending queues (both
-    /// classes; not counting flushes already handed to workers).
+    /// Number of queries currently waiting in the pending queues (not
+    /// counting flushes already handed to workers).
     pub fn pending(&self) -> usize {
-        self.shared
-            .lock()
-            .slots
-            .iter()
-            .map(|s| s.queue.len() + s.bulk.len())
-            .sum()
+        self.shared.lock().slots.iter().map(|s| s.queue.len()).sum()
     }
 
     /// A point-in-time snapshot of the serving counters, summed over all
@@ -1273,7 +1212,7 @@ impl RankServer {
             ..ServeMetrics::default()
         };
         for slot in &state.slots {
-            m.pending += slot.queue.len() + slot.bulk.len();
+            m.pending += slot.queue.len();
             m.in_flight += slot.in_flight as usize;
             m.shed += slot.shed;
             m.flushes += slot.flushes;
@@ -1322,11 +1261,7 @@ impl std::fmt::Debug for RankServer {
             .field("relations", &state.slots.len())
             .field(
                 "pending",
-                &state
-                    .slots
-                    .iter()
-                    .map(|s| s.queue.len() + s.bulk.len())
-                    .sum::<usize>(),
+                &state.slots.iter().map(|s| s.queue.len()).sum::<usize>(),
             )
             .field("workers", &self.shared.config.workers)
             .field("shutdown", &state.shutdown)
@@ -1350,7 +1285,6 @@ impl Drop for Failsafe<'_> {
         state.work.clear();
         for slot in state.slots.iter_mut() {
             slot.queue.clear();
-            slot.bulk.clear();
             slot.muts.clear();
             // Dropping the subscriptions' senders disconnects the
             // subscribers' channels: their `recv` resolves to `Shutdown`.
@@ -1364,11 +1298,10 @@ impl Drop for Failsafe<'_> {
 }
 
 /// The scheduler: pure deadline bookkeeping. Sleeps until the earliest
-/// pending deadline (latency or bulk), moves due (and size-triggered)
-/// queues onto the work queue, and hands them to the pool — it never
-/// evaluates a flush itself. On shutdown it keeps feeding the pool until
-/// every queue is empty and every flush completed, then stops the pool and
-/// exits.
+/// pending deadline, moves due (and size-triggered) queues onto the work
+/// queue, and hands them to the pool — it never evaluates a flush itself.
+/// On shutdown it keeps feeding the pool until every queue is empty and
+/// every flush completed, then stops the pool and exits.
 fn scheduler_loop(shared: &Shared) {
     let config = &shared.config;
     let mut state = shared.lock();
@@ -1382,7 +1315,7 @@ fn scheduler_loop(shared: &Shared) {
                 let mut fed = false;
                 for i in 0..state.slots.len() {
                     if state.slots[i].due() && !state.slots[i].in_flight {
-                        take_flush(&mut state, i, FlushTrigger::Shutdown, true);
+                        take_flush(&mut state, i, FlushTrigger::Shutdown);
                         fed = true;
                     }
                 }
@@ -1412,26 +1345,16 @@ fn scheduler_loop(shared: &Shared) {
         let mut next_due: Option<Instant> = None;
         let mut fed = false;
         for i in 0..state.slots.len() {
-            let slot = &state.slots[i];
-            if !slot.due() || slot.in_flight {
+            if state.slots[i].in_flight {
                 continue;
             }
-            let take_bulk = slot.take_bulk_now(config, now);
-            if slot.load() >= config.max_batch || slot.bulk.len() >= config.max_batch {
-                take_flush(&mut state, i, FlushTrigger::SizeLimit, take_bulk);
-                fed = true;
-                continue;
-            }
-            let mut earliest: Option<Instant> = slot.anchor().map(|a| a + config.max_delay);
-            if let Some(bulk_due) = slot.bulk_due_at(config.bulk_delay) {
-                earliest = Some(earliest.map_or(bulk_due, |e| e.min(bulk_due)));
-            }
-            let due = earliest.expect("a due slot has an anchor");
-            if due <= now {
-                take_flush(&mut state, i, FlushTrigger::Deadline, take_bulk);
-                fed = true;
-            } else {
-                next_due = Some(next_due.map_or(due, |d| d.min(due)));
+            match state.slots[i].flush_due(config, now) {
+                FlushDue::Idle => {}
+                FlushDue::Now(trigger) => {
+                    take_flush(&mut state, i, trigger);
+                    fed = true;
+                }
+                FlushDue::At(due) => next_due = Some(next_due.map_or(due, |d| d.min(due))),
             }
         }
         if fed {
@@ -1466,8 +1389,7 @@ fn requeue_interrupted(state: &mut State, work: &mut FlushWork, reason: &str) {
         return;
     };
     slot.in_flight = false;
-    let mut latency = Vec::new();
-    let mut bulk = Vec::new();
+    let mut queries = Vec::new();
     for mut p in work.pending.drain(..) {
         if p.requeued {
             let _ = p.tx.send(Err(QueryError::Internal {
@@ -1475,14 +1397,10 @@ fn requeue_interrupted(state: &mut State, work: &mut FlushWork, reason: &str) {
             }));
         } else {
             p.requeued = true;
-            match p.class {
-                Priority::Latency => latency.push(p),
-                Priority::Bulk => bulk.push(p),
-            }
+            queries.push(p);
         }
     }
-    slot.queue.splice(0..0, latency);
-    slot.bulk.splice(0..0, bulk);
+    slot.queue.splice(0..0, queries);
     let mut muts = Vec::new();
     for mut m in work.muts.drain(..) {
         if m.requeued {
@@ -2361,43 +2279,124 @@ mod tests {
     }
 
     #[test]
-    fn bulk_class_waits_for_its_own_cadence() {
-        let server = RankServer::new(
-            ServeConfig::new()
-                .max_delay(Duration::from_micros(200))
-                .bulk_delay(Duration::from_secs(3600)),
-        );
-        let rel = server.register("db", db());
-        let mut bulk = server
-            .submit_with(rel, RankQuery::pt(2), SubmitOptions::bulk())
-            .unwrap();
-        // The latency class flushes on its 200 µs deadline; the bulk query
-        // does not ride along — its hour-long cadence is nowhere near due.
-        let latency = server.submit(rel, RankQuery::pt(1)).unwrap();
-        assert!(latency.recv().is_ok());
-        assert!(bulk.recv_timeout(Duration::from_millis(50)).is_none());
-        // Shutdown still drains the bulk queue.
-        server.shutdown();
-        let got = bulk.recv().unwrap();
-        assert_eq!(got.report.serve.unwrap().trigger, FlushTrigger::Shutdown);
-    }
+    fn flush_rule_decides_size_deadline_and_next_due() {
+        use prf_core::live::Mutation;
 
-    #[test]
-    fn bulk_deadline_flushes_bulk_on_its_own() {
-        // Latency deadline an hour out: only the bulk cadence can flush.
-        let server = RankServer::new(
-            ServeConfig::new()
-                .max_delay(Duration::from_secs(3600))
-                .bulk_delay(Duration::from_micros(200)),
+        let t0 = Instant::now();
+        let ms = |m: u64| t0 + Duration::from_millis(m);
+        // (case, query ages, mutation ages, snapshot since, max_delay,
+        // now, expected) — instants are milliseconds after `t0`; the
+        // size trigger is 3 queued queries plus mutations.
+        type Case = (
+            &'static str,
+            &'static [u64],
+            &'static [u64],
+            Option<u64>,
+            u64,
+            u64,
+            FlushDue,
         );
-        let rel = server.register("db", db());
-        let bulk = server
-            .submit_with(rel, RankQuery::pt(2), SubmitOptions::bulk())
-            .unwrap();
-        let got = bulk.recv().unwrap();
-        assert_eq!(got.report.serve.unwrap().trigger, FlushTrigger::Deadline);
-        let want = RankQuery::pt(2).run(&db()).unwrap();
-        assert_eq!(got.ranking.order(), want.ranking.order());
+        let cases: [Case; 9] = [
+            ("empty slot", &[], &[], None, 10, 50, FlushDue::Idle),
+            (
+                "queries plus mutations reach max_batch",
+                &[0, 1],
+                &[2],
+                None,
+                10,
+                2,
+                FlushDue::Now(FlushTrigger::SizeLimit),
+            ),
+            (
+                "queries alone below max_batch",
+                &[0, 1],
+                &[],
+                None,
+                10,
+                2,
+                FlushDue::At(ms(10)),
+            ),
+            (
+                "anchor plus max_delay elapsed",
+                &[0],
+                &[],
+                None,
+                10,
+                10,
+                FlushDue::Now(FlushTrigger::Deadline),
+            ),
+            (
+                "pending query",
+                &[0],
+                &[],
+                None,
+                10,
+                4,
+                FlushDue::At(ms(10)),
+            ),
+            (
+                "the oldest mutation anchors",
+                &[5],
+                &[1],
+                None,
+                10,
+                6,
+                FlushDue::At(ms(11)),
+            ),
+            (
+                "zero max_delay",
+                &[0],
+                &[],
+                None,
+                0,
+                0,
+                FlushDue::Now(FlushTrigger::Deadline),
+            ),
+            (
+                "snapshot only, before its deadline",
+                &[],
+                &[],
+                Some(0),
+                10,
+                9,
+                FlushDue::At(ms(10)),
+            ),
+            (
+                "snapshot only, after one deadline",
+                &[],
+                &[],
+                Some(0),
+                10,
+                10,
+                FlushDue::Now(FlushTrigger::Deadline),
+            ),
+        ];
+        for (case, queries, muts, sync_since, max_delay, now, want) in cases {
+            let config = ServeConfig::new()
+                .max_delay(Duration::from_millis(max_delay))
+                .max_batch(3);
+            let mut slot = Slot::new("db".into(), Arc::new(db()), None, 1);
+            for (i, &at) in queries.iter().enumerate() {
+                slot.queue.push(Pending {
+                    query: RankQuery::pt(1),
+                    submitted_at: ms(at),
+                    depth_at_admit: i + 1,
+                    requeued: false,
+                    tx: mpsc::channel().0,
+                });
+            }
+            for &at in muts {
+                slot.muts.push(PendingMut {
+                    mutation: Mutation::Reweight(TupleId(0), 0.5),
+                    submitted_at: ms(at),
+                    requeued: false,
+                    tx: mpsc::channel().0,
+                });
+            }
+            slot.sync_since = sync_since.map(ms);
+            assert_eq!(slot.flush_due(&config, ms(now)), want, "{case}");
+            assert_eq!(slot.due(), want != FlushDue::Idle, "{case}");
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub mod prelude {
     pub use prf_numeric::Complex;
     pub use prf_pdb::{AndXorTree, IndependentDb, NodeKind, TreeBuilder, Tuple, TupleId};
     pub use prf_serve::{
-        MutationHandle, Priority, RankServer, RankingDelta, RelationId, ResponseHandle,
-        ServeConfig, ServeMetrics, SubmitOptions, SubscriptionHandle,
+        MutationHandle, RankServer, RankingDelta, RelationId, ResponseHandle, ServeConfig,
+        ServeMetrics, SubmitOptions, SubscriptionHandle,
     };
 }

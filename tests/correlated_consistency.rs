@@ -5,9 +5,9 @@
 
 #![allow(clippy::needless_range_loop)] // oracle comparisons over parallel arrays
 
+use prf::core::tree::oracle::prf_rank_tree_interp;
 use prf::core::{
-    prf_omega_rank_xtuple, prf_rank_tree, prf_rank_tree_interp, prfe_rank_tree,
-    rank_distributions_tree, StepWeight,
+    prf_omega_rank_xtuple, prf_rank_tree, prfe_rank_tree, rank_distributions_tree, StepWeight,
 };
 use prf::graphical::{rank_distributions_network, Factor, MarkovNetwork, VarId};
 use prf::numeric::Complex;

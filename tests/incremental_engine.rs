@@ -11,10 +11,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use prf::core::query::{CorrelationClass, ProbabilisticRelation, RankQuery};
-use prf::core::tree::{
-    prf_rank_tree, prf_rank_tree_refold, prfe_rank_tree, prfe_rank_tree_recompute,
-    prfe_rank_tree_scaled,
-};
+use prf::core::tree::oracle::{prf_rank_tree_refold, prfe_rank_tree_recompute};
+use prf::core::tree::{prf_rank_tree, prfe_rank_tree, prfe_rank_tree_scaled};
 use prf::core::{
     effective_walk_threads, expected_ranks_tree, ConstantWeight, ExponentialWeight, StepWeight,
     PARALLEL_MIN_SHARD_TUPLES,

@@ -7,7 +7,7 @@
 //! `LiveRelation::arm_mutation_probe` closure consulting the same plan,
 //! firing between the live relation's plan splice and its log-PRFe
 //! key-cache patch) — and then drives a mixed workload of plain
-//! submissions, deadline/priority submissions, and live-relation inserts
+//! submissions, deadline submissions, and live-relation inserts
 //! from several client threads, with shutdown racing half the schedules.
 //! The panic sites include `cache` (before the result cache is purged and
 //! consulted), so the schedules also pin the cache path's requeue and
@@ -122,7 +122,7 @@ fn run_chaos_schedule(seed: u64) -> u64 {
     let live_rel = server.register_live("live", Arc::clone(&live));
 
     // Pre-draw client schedules: (op, arg, pause). Ops: 0 = plain static
-    // query, 1 = tracked static query (random deadline/class), 2 = live
+    // query, 1 = tracked static query (random deadline), 2 = live
     // query, 3 = live insert (distinct score derived from the op index).
     let clients = rng.gen_range(1..4usize);
     let schedules: Vec<Vec<(u8, usize, bool)>> = (0..clients)
@@ -139,17 +139,8 @@ fn run_chaos_schedule(seed: u64) -> u64 {
         })
         .collect();
     let deadline_choices = [None, Some(Duration::ZERO), Some(Duration::from_millis(50))];
-    let tracked: Vec<(Option<Duration>, Priority)> = (0..64)
-        .map(|_| {
-            (
-                deadline_choices[rng.gen_range(0..3usize)],
-                if rng.gen_bool(0.3) {
-                    Priority::Bulk
-                } else {
-                    Priority::Latency
-                },
-            )
-        })
+    let tracked: Vec<Option<Duration>> = (0..64)
+        .map(|_| deadline_choices[rng.gen_range(0..3usize)])
         .collect();
     let shutdown_mid = rng.gen_bool(0.5);
 
@@ -178,8 +169,8 @@ fn run_chaos_schedule(seed: u64) -> u64 {
                             ),
                         },
                         1 => {
-                            let (deadline, priority) = tracked[(c * 16 + i) % tracked.len()];
-                            let mut opts = SubmitOptions::new().priority(priority);
+                            let deadline = tracked[(c * 16 + i) % tracked.len()];
+                            let mut opts = SubmitOptions::new();
                             if let Some(d) = deadline {
                                 opts = opts.deadline(d);
                             }

@@ -5,15 +5,24 @@
 //! (x-tuple and general) backends and all three numeric modes
 //! (plain complex, log-domain, scaled).
 //!
-//! The direct side never touches `prf-serve` (and the batch layer it
-//! flushes through is differential-tested against the single kernels in
-//! `tests/batch_equivalence.rs`), so the comparison is not circular: it
-//! pins the *whole* serving path — concurrent submission, queueing,
+//! The direct side never touches `prf-serve`, so the comparison pins the
+//! *whole* serving path — concurrent submission, queueing,
 //! deadline/size-triggered flushing, per-entry isolation, response routing.
+//! `RankQuery::run` is the same shared walk the server flushes through, so
+//! on the independent and general-tree relations each direct answer is
+//! also checked at 1e-9 against a free kernel that does not walk: the
+//! closed forms of `prf_core::independent` (E-Rank through the tree
+//! kernel on the equivalent and/xor tree) and the full-refold tree oracles
+//! of `prf_core::tree::oracle`.
 
+use std::collections::HashSet;
 use std::thread;
 use std::time::Duration;
 
+use prf::core::expected_ranks_tree;
+use prf::core::independent::{prf_rank, prfe_rank, prfe_rank_log, prfe_rank_scaled};
+use prf::core::tree::oracle::{prf_rank_tree_refold, prfe_rank_tree_recompute};
+use prf::numeric::Scaled;
 use prf::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,7 +147,13 @@ fn assert_equivalent(got: &RankedResult, want: &RankedResult, ctx: &str, order_e
         let (g, w) = (got.ranking.key_at(pos), want.ranking.key_at(pos));
         assert!(close(g, w), "{ctx}: key at {pos}: {g} vs {w}");
     }
-    match (&got.values, &want.values) {
+    assert_values_close(&got.values, &want.values, ctx);
+}
+
+/// Per-tuple values agree within `TOL` in the same numeric mode.
+fn assert_values_close(got: &Values, want: &Values, ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: value count");
+    match (got, want) {
         (Values::Complex(g), Values::Complex(w)) => {
             for (t, (a, b)) in g.iter().zip(w).enumerate() {
                 assert!(
@@ -162,6 +177,92 @@ fn assert_equivalent(got: &RankedResult, want: &RankedResult, ctx: &str, order_e
     }
 }
 
+/// A free kernel's values for `q` in the numeric mode of the direct answer
+/// `direct`, labelled by what it checks — `None` where no kernel applies.
+type Kernel<'a> = &'a dyn Fn(&RankQuery, &Values) -> Option<(&'static str, Values)>;
+
+/// The kernel labels both 16-thread suites must exercise.
+const KERNEL_COVERAGE: [&str; 6] = ["PT", "Consensus", "PRFω", "PRFe", "log PRFe", "E-Rank"];
+
+fn independent_kernel(
+    db: &IndependentDb,
+    q: &RankQuery,
+    direct: &Values,
+) -> Option<(&'static str, Values)> {
+    let complex = |label, v| Some((label, Values::Complex(v)));
+    match (q.semantics(), direct) {
+        (Semantics::Pt(h), Values::Complex(_)) => {
+            complex("PT", prf_rank(db, &StepWeight { h: *h }))
+        }
+        (Semantics::Consensus(k), Values::Complex(_)) => {
+            complex("Consensus", prf_rank(db, &StepWeight { h: *k }))
+        }
+        (Semantics::Prf(w), Values::Complex(_)) => complex("PRFω", prf_rank(db, w.as_ref())),
+        (Semantics::Prfe(a), Values::Complex(_)) => complex("PRFe", prfe_rank(db, *a)),
+        (Semantics::Prfe(a), Values::LogDomain(_)) => {
+            Some(("log PRFe", Values::LogDomain(prfe_rank_log(db, a.re))))
+        }
+        (Semantics::Prfe(a), Values::Scaled(_)) => {
+            Some(("scaled PRFe", Values::Scaled(prfe_rank_scaled(db, *a))))
+        }
+        // No walk: the dual-number tree kernel on the equivalent tree.
+        (Semantics::ERank, Values::Complex(_)) => complex(
+            "E-Rank",
+            negated(expected_ranks_tree(&AndXorTree::from_independent(db))),
+        ),
+        _ => None,
+    }
+}
+
+fn tree_kernel(
+    tree: &AndXorTree,
+    q: &RankQuery,
+    direct: &Values,
+) -> Option<(&'static str, Values)> {
+    let complex = |label, v| Some((label, Values::Complex(v)));
+    match (q.semantics(), direct) {
+        (Semantics::Pt(h), Values::Complex(_)) => {
+            complex("PT", prf_rank_tree_refold(tree, &StepWeight { h: *h }))
+        }
+        (Semantics::Consensus(k), Values::Complex(_)) => complex(
+            "Consensus",
+            prf_rank_tree_refold(tree, &StepWeight { h: *k }),
+        ),
+        (Semantics::Prf(w), Values::Complex(_)) => {
+            complex("PRFω", prf_rank_tree_refold(tree, w.as_ref()))
+        }
+        (Semantics::Prfe(a), Values::Complex(_)) => {
+            complex("PRFe", prfe_rank_tree_recompute(tree, *a))
+        }
+        (Semantics::Prfe(a), Values::LogDomain(_)) => {
+            let ln = |v: Complex| {
+                if v.re > 0.0 {
+                    v.re.ln()
+                } else {
+                    f64::NEG_INFINITY
+                }
+            };
+            let keys = prfe_rank_tree_recompute(tree, *a).into_iter().map(ln);
+            Some(("log PRFe", Values::LogDomain(keys.collect())))
+        }
+        (Semantics::Prfe(a), Values::Scaled(_)) => {
+            let vals = prfe_rank_tree_recompute(tree, *a)
+                .into_iter()
+                .map(Scaled::new);
+            Some(("scaled PRFe", Values::Scaled(vals.collect())))
+        }
+        (Semantics::ERank, Values::Complex(_)) => {
+            complex("E-Rank", negated(expected_ranks_tree(tree)))
+        }
+        _ => None,
+    }
+}
+
+/// E-Rank answers hold `−er(t)` (higher is better).
+fn negated(ranks: Vec<f64>) -> Vec<Complex> {
+    ranks.into_iter().map(|e| Complex::real(-e)).collect()
+}
+
 /// Pushes `queries` through a server from `clients` concurrent threads
 /// (striped round-robin) and checks every response against the direct
 /// sequential run.
@@ -172,9 +273,31 @@ fn run_concurrently_and_compare(
     config: ServeConfig,
     ctx: &str,
 ) {
-    run_concurrently_and_compare_inner(rel, queries, clients, config, ctx, true);
+    run_concurrently_and_compare_inner(rel, queries, clients, config, ctx, true, None);
 }
 
+/// Like [`run_concurrently_and_compare`], and also checks every direct
+/// answer `kernel` covers against it, requiring every label of
+/// [`KERNEL_COVERAGE`] to come up at least once.
+fn run_concurrently_and_check_kernels(
+    rel: impl ProbabilisticRelation + Send + Sync + Clone + 'static,
+    queries: &[RankQuery],
+    config: ServeConfig,
+    ctx: &str,
+    kernel: Kernel<'_>,
+) {
+    let checked =
+        run_concurrently_and_compare_inner(rel, queries, 16, config, ctx, true, Some(kernel));
+    for label in KERNEL_COVERAGE {
+        assert!(
+            checked.contains(label),
+            "{ctx}: no {label} answer was checked against a kernel"
+        );
+    }
+}
+
+/// Returns the labels of the kernels the direct answers were checked
+/// against.
 fn run_concurrently_and_compare_inner(
     rel: impl ProbabilisticRelation + Send + Sync + Clone + 'static,
     queries: &[RankQuery],
@@ -182,7 +305,8 @@ fn run_concurrently_and_compare_inner(
     config: ServeConfig,
     ctx: &str,
     order_exact: bool,
-) {
+    kernel: Option<Kernel<'_>>,
+) -> HashSet<&'static str> {
     let server = RankServer::new(config);
     let id = server.register(ctx.to_string(), rel.clone());
     let answers: Vec<(usize, Result<RankedResult, QueryError>)> = thread::scope(|s| {
@@ -222,6 +346,7 @@ fn run_concurrently_and_compare_inner(
     server.shutdown();
 
     assert_eq!(answers.len(), queries.len(), "{ctx}: every query answered");
+    let mut checked = HashSet::new();
     for (i, got) in answers {
         let q = &queries[i];
         let ctx = format!("{ctx}: query {i} ({})", q.semantics().name());
@@ -231,11 +356,16 @@ fn run_concurrently_and_compare_inner(
                 let serve = got.report.serve.expect("served answers carry provenance");
                 assert!(serve.queue_seconds >= 0.0, "{ctx}");
                 assert!(serve.flush_size >= 1, "{ctx}");
+                if let Some((label, free)) = kernel.and_then(|k| k(q, &want.values)) {
+                    assert_values_close(&want.values, &free, &format!("{ctx} vs {label} kernel"));
+                    checked.insert(label);
+                }
             }
             (Err(got), Err(want)) => assert_eq!(got, want, "{ctx}"),
             (got, want) => panic!("{ctx}: served {got:?} vs direct {want:?}"),
         }
     }
+    checked
 }
 
 fn mixed_trace(seed: u64, n: usize, len: usize) -> Vec<RankQuery> {
@@ -251,14 +381,14 @@ fn mixed_trace(seed: u64, n: usize, len: usize) -> Vec<RankQuery> {
 fn serve_equals_sequential_on_independent_16_threads() {
     let db = random_db(11, 60);
     let queries = mixed_trace(12, 60, 64);
-    run_concurrently_and_compare(
-        db,
+    run_concurrently_and_check_kernels(
+        db.clone(),
         &queries,
-        16,
         ServeConfig::new()
             .max_delay(Duration::from_micros(500))
             .max_batch(8),
         "independent/16",
+        &|q, direct| independent_kernel(&db, q, direct),
     );
 }
 
@@ -283,14 +413,14 @@ fn serve_equals_sequential_on_general_tree_16_threads() {
     let tree = random_general_tree(31, 24);
     let n = prf::pdb::AndXorTree::n_tuples(&tree);
     let queries = mixed_trace(32, n, 48);
-    run_concurrently_and_compare(
-        tree,
+    run_concurrently_and_check_kernels(
+        tree.clone(),
         &queries,
-        16,
         ServeConfig::new()
             .max_delay(Duration::from_micros(500))
             .max_batch(6),
         "general-tree/16",
+        &|q, direct| tree_kernel(&tree, q, direct),
     );
 }
 
@@ -332,6 +462,7 @@ fn serve_equals_sequential_with_parallel_walks() {
         // Shard fold order may flip exact ties; values and per-position
         // keys must still agree.
         false,
+        None,
     );
 }
 
